@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainError
-from .newton import newton_index
+from .newton import NewtonIndexReport, newton_index
 from .polys import Poly
 from .primes import is_prime, ord_p
 
@@ -41,11 +41,15 @@ class GaloisCertificate:
     slope: Optional[Fraction] = None
 
     def __post_init__(self):
+        # Explicit raises, not asserts, so that `python -O` keeps the check.
         if self.verdict == CONTAINS_AN:
             q = self.witness_prime_q
-            assert q is not None and is_prime(q)
-            assert 2 * q > self.n and q < self.n - 2
-            assert self.newton_index % q == 0
+            if q is None or not is_prime(q):
+                raise DomainError(f"window prime {q} is not prime")
+            if not (2 * q > self.n and q < self.n - 2):
+                raise DomainError(f"window prime {q} is outside (n/2, n-2) for n={self.n}")
+            if self.newton_index % q:
+                raise DomainError(f"window prime {q} does not divide the index {self.newton_index}")
 
 
 def certificate_to_dict(cert: GaloisCertificate) -> dict:
@@ -99,17 +103,23 @@ def certify_large_galois(
     the largest index found, or inconclusive if every index is 1.  contains_An
     is never claimed when irreducibility is neither established nor asserted.
     """
-    n = f.degree
+    reports = ((Fraction(mu), newton_index(f.shift(mu))) for mu in shifts)
+    return certify_from_reports(f.degree, reports, irreducibility, jordan_window_primes(f.degree))
+
+
+def certify_from_reports(
+    n: int,
+    reports: Iterable[tuple[Fraction, NewtonIndexReport]],
+    irreducibility: IrreducibilityBasis,
+    window: Sequence[int],
+) -> GaloisCertificate:
+    """The certificate for the first (shift, report) pair whose index has a
+    divisor among the window primes, tried in the given order; see
+    certify_large_galois.  Pairs are consumed lazily, up to the first hit."""
     if n < 2:
         raise DomainError("certification requires degree >= 2")
-    if not shifts:
-        raise DomainError("shift list must be nonempty")
-    window = jordan_window_primes(n)
-    best_index = 1
-    best_shift = Fraction(shifts[0])
-    for mu in shifts:
-        mu = Fraction(mu)
-        report = newton_index(f.shift(mu))
+    best_index, best_shift = 1, None
+    for mu, report in reports:
         if irreducibility is not None:
             for q in window:
                 if report.index % q == 0:
@@ -124,9 +134,10 @@ def certify_large_galois(
                         valuation_prime_p=p,
                         slope=slope,
                     )
-        if report.index > best_index:
-            best_index = report.index
-            best_shift = mu
+        if best_shift is None or report.index > best_index:
+            best_index, best_shift = report.index, mu
+    if best_shift is None:
+        raise DomainError("shift list must be nonempty")
     return GaloisCertificate(
         verdict=INDEX_DIVIDES if best_index > 1 else INCONCLUSIVE,
         n=n,
@@ -141,4 +152,4 @@ def _witness_for(witnesses: dict[int, list[Fraction]], q: int) -> tuple[int, Fra
         for slope in witnesses[p]:
             if slope.denominator % q == 0:
                 return p, slope
-    raise AssertionError(f"no witness slope for window prime {q}")
+    raise DomainError(f"no witness slope for window prime {q}")

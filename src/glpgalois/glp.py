@@ -23,14 +23,15 @@ from .certify import (
     SINGLE_SLOPE,
     GaloisCertificate,
     certificate_to_dict,
-    certify_large_galois,
+    certify_from_reports,
+    jordan_window_primes,
     lemma_key_check,
 )
 from .errors import DomainError
 from .modp import degree_set_filter, good_primes
-from .newton import newton_index, newton_polygon, single_slope_irreducibility_evidence
+from .newton import NewtonIndexReport, newton_index
 from .polys import Poly
-from .primes import is_prime, primes_in_ap_interval
+from .primes import primes_in_ap_interval
 
 GROUP_AN = "A_n"
 GROUP_SN = "S_n"
@@ -77,8 +78,10 @@ class Classification:
 
     def __post_init__(self):
         if self.group in (GROUP_AN, GROUP_SN):
-            assert self.certificate.verdict == CONTAINS_AN
-            assert self.discriminant_is_square == (self.group == GROUP_AN)
+            if self.certificate.verdict != CONTAINS_AN:
+                raise DomainError(f"group {self.group} claimed without a contains_An certificate")
+            if self.discriminant_is_square != (self.group == GROUP_AN):
+                raise DomainError(f"group {self.group} contradicts the discriminant's squareness")
 
 
 def glp(params: GlpParams) -> Poly:
@@ -143,26 +146,21 @@ def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
     if n < 5:
         return None
     c = normalized_coefficient_products(params)
-    if mu == 1:
-        # integer alpha >= 0: window ((n+alpha)/2, n-2)
-        lo = (n + lam) // 2 + 1
-        candidates = [p for p in range(lo, n - 2) if is_prime(p)]
-    else:
-        lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil
-        hi = n - 3
-        if lo > hi:
-            return None
-        candidates = primes_in_ap_interval(lam, mu, lo, hi)
-    for p in reversed(candidates):
-        if p <= 2 or p >= n:
+    lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil
+    if lo > n - 3:
+        return None
+    for p in reversed(primes_in_ap_interval(lam, mu, lo, n - 3)):
+        if p <= 2:  # lemma_key_check needs an odd prime; e.g. mu=3, alpha=-10/3, n=5 gives 2
             continue
         if lemma_key_check(n, c, p):
             return p, (p - lam) // mu
     return None
 
 
-def _irreducibility_evidence(f: Poly, params: GlpParams, assume: bool) -> Optional[str]:
-    if single_slope_irreducibility_evidence(f):
+def _irreducibility_evidence(
+    f: Poly, report: NewtonIndexReport, params: GlpParams, assume: bool
+) -> Optional[str]:
+    if report.single_slope:
         return SINGLE_SLOPE
     disc = normalized_discriminant(params)
     sample = list(islice(good_primes(f, disc=disc), _EVIDENCE_PRIME_BUDGET))
@@ -172,33 +170,20 @@ def _irreducibility_evidence(f: Poly, params: GlpParams, assume: bool) -> Option
     return ASSUMED if assume else None
 
 
-def classify(params: GlpParams, assume_irreducible: bool = True) -> Classification:
-    """Decide A_n vs S_n for L_n^(alpha) from a criterion-prime certificate and
-    the squareness of the discriminant; honest `inconclusive` otherwise."""
+def classify(params: GlpParams, assume_irreducible: bool = False) -> Classification:
+    """Decide A_n vs S_n for L_n^(alpha) from a certificate whose preferred window
+    prime is the criterion prime, and the squareness of the discriminant; honest
+    `inconclusive` otherwise, also when irreducibility is neither proved nor assumed."""
     n = params.n
     f = glp_normalized(params)
     delta = schur_discriminant(n, params.alpha)
     square = is_rational_square(delta)
-    basis = _irreducibility_evidence(f, params, assume_irreducible)
+    report = newton_index(f)
+    basis = _irreducibility_evidence(f, report, params, assume_irreducible)
 
     crit = find_criterion_prime(params)
-    if crit is not None and basis is not None:
-        p, ell = crit
-        np_p = newton_polygon(f, p)
-        slope = Fraction(-1, p)
-        assert slope in np_p.slopes, "criterion prime not confirmed by the polygon"
-        cert = GaloisCertificate(
-            verdict=CONTAINS_AN,
-            n=n,
-            shift_used=Fraction(0),
-            newton_index=newton_index(f).index,
-            irreducibility_basis=basis,
-            witness_prime_q=p,
-            valuation_prime_p=p,
-            slope=slope,
-        )
-    else:
-        cert = certify_large_galois(f, shifts=(0,), irreducibility=basis)
+    window = ([crit[0]] if crit else []) + jordan_window_primes(n)
+    cert = certify_from_reports(n, [(Fraction(0), report)], basis, window)
 
     if cert.verdict == CONTAINS_AN:
         group = GROUP_AN if square else GROUP_SN

@@ -52,6 +52,13 @@ class NewtonPolygon:
 class NewtonIndexReport:
     index: int
     witnesses: dict[int, list[Fraction]]  # prime -> slopes with denominator > 1
+    polygons: dict[int, NewtonPolygon]  # every candidate prime -> its polygon
+
+    @property
+    def single_slope(self) -> bool:
+        """Some polygon is one segment whose slope denominator is its length."""
+        segments = [np.segments for np in self.polygons.values()]
+        return any(len(s) == 1 and s[0].slope.denominator == s[0].length for s in segments)
 
 
 def strip_x_powers(f: Poly) -> tuple[int, Poly]:
@@ -108,13 +115,15 @@ def newton_index(f: Poly) -> NewtonIndexReport:
     g, _ = primitive_scale(h)
     index = 1
     witnesses: dict[int, list[Fraction]] = {}
+    polygons: dict[int, NewtonPolygon] = {}
     if g.degree >= 1:
         for p in sorted(candidate_primes(g)):
-            ramified = [s for s in newton_polygon(g, p).slopes if s.denominator > 1]
+            polygons[p] = newton_polygon(g, p)
+            ramified = [s for s in polygons[p].slopes if s.denominator > 1]
             if ramified:
                 witnesses[p] = ramified
                 index = math.lcm(index, *(s.denominator for s in ramified))
-    return NewtonIndexReport(index=index, witnesses=witnesses)
+    return NewtonIndexReport(index=index, witnesses=witnesses, polygons=polygons)
 
 
 def single_slope_irreducibility_evidence(f: Poly) -> bool:
@@ -122,14 +131,7 @@ def single_slope_irreducibility_evidence(f: Poly) -> bool:
     equals deg f; a sufficient (Eisenstein-like) condition for irreducibility."""
     if f.is_zero() or f[0] == 0:
         raise DomainError("requires a_0 != 0")
-    g, _ = primitive_scale(f)
-    if g.degree < 1:
-        return False
-    for p in sorted(candidate_primes(g)):
-        np = newton_polygon(g, p)
-        if len(np.segments) == 1 and np.segments[0].slope.denominator == g.degree:
-            return True
-    return False
+    return newton_index(f).single_slope
 
 
 def polygon_to_dict(np: NewtonPolygon) -> dict:

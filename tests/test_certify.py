@@ -1,21 +1,27 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import glpgalois
 from glpgalois.certify import (
     ASSUMED,
     CONTAINS_AN,
     INCONCLUSIVE,
     INDEX_DIVIDES,
+    GaloisCertificate,
     certificate_to_dict,
+    certify_from_reports,
     certify_large_galois,
     jordan_window_primes,
     lemma_key_check,
 )
 from glpgalois.errors import DomainError
 from glpgalois.glp import GlpParams, glp_normalized
-from glpgalois.newton import newton_index, newton_polygon
+from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import parse_poly
 
 
@@ -126,6 +132,16 @@ class TestCertify:
             idx = newton_index(parse_poly(text)).index
             assert order % idx == 0, (text, idx, order)
 
+    def test_stops_at_first_certifying_shift(self):
+        f = glp_normalized(GlpParams(9, 0, 1))
+
+        def reports():
+            yield Fraction(0), newton_index(f)
+            raise AssertionError("consumed a shift past the first certificate")
+
+        cert = certify_from_reports(9, reports(), ASSUMED, jordan_window_primes(9))
+        assert cert.verdict == CONTAINS_AN and cert.witness_prime_q == 5
+
     def test_json_field_names(self):
         cert = certify_large_galois(glp_normalized(GlpParams(9, 0, 1)))
         d = certificate_to_dict(cert)
@@ -139,3 +155,32 @@ class TestCertify:
             "newton_index",
             "irreducibility_basis",
         }
+
+
+class TestClaimInvariants:
+    def test_bad_contains_an_rejected(self):
+        for q, index in [(7, 7 * 2520), (6, 2520), (5, 7), (None, 2520)]:
+            with pytest.raises(DomainError):
+                GaloisCertificate(CONTAINS_AN, 9, Fraction(0), index, ASSUMED, q, q, None)
+
+    def test_missing_witness_slope_rejected(self):
+        report = NewtonIndexReport(index=5, witnesses={}, polygons={})
+        with pytest.raises(DomainError):
+            certify_from_reports(9, [(Fraction(0), report)], ASSUMED, [5])
+
+    def test_checked_under_python_optimize(self):
+        # `python -O` strips asserts; the window-prime check must survive it
+        code = (
+            "from fractions import Fraction\n"
+            "from glpgalois.certify import CONTAINS_AN, GaloisCertificate\n"
+            "from glpgalois.errors import DomainError\n"
+            "try:\n"
+            "    GaloisCertificate(CONTAINS_AN, 9, Fraction(0), 7 * 2520, 'assumed', 7, 7, None)\n"
+            "except DomainError:\n"
+            "    print('rejected')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(glpgalois.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "rejected\n", out.stderr

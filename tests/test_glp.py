@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from glpgalois.certify import CONTAINS_AN
+from glpgalois.certify import (
+    ASSUMED,
+    CONTAINS_AN,
+    INCONCLUSIVE,
+    GaloisCertificate,
+    certify_large_galois,
+)
 from glpgalois.errors import DomainError
 from glpgalois.glp import (
     GROUP_AN,
     GROUP_INCONCLUSIVE,
     GROUP_SN,
+    Classification,
     GlpParams,
     classification_to_dict,
     classify,
@@ -169,6 +176,40 @@ class TestClassify:
         c = classify(GlpParams(9, 0, 1), assume_irreducible=False)
         assert c.certificate.irreducibility_basis in ("single_slope", "degree_set_filter")
         assert c.group == GROUP_SN
+
+    def test_default_does_not_assume_irreducibility(self):
+        # neither polygon nor degree-set evidence proves L_46^(5/3) irreducible
+        params = GlpParams.from_alpha(46, Fraction(5, 3))
+        c = classify(params)
+        assert c.group == GROUP_INCONCLUSIVE and c.certificate.irreducibility_basis is None
+        c = classify(params, assume_irreducible=True)
+        assert c.group == GROUP_SN and c.certificate.irreducibility_basis == ASSUMED
+
+    def test_criterion_prime_is_preferred_window_prime(self):
+        # certify_large_galois alone tries the window primes largest first
+        cases = [
+            (34, Fraction(5, 3), (29, 29, Fraction(-1, 29)), (31, 31, Fraction(-1, 31))),
+            (24, Fraction(-7, 3), (17, 17, Fraction(-1, 17)), (19, 5, Fraction(-5, 19))),
+        ]
+        for n, alpha, from_classify, from_certify in cases:
+            params = GlpParams.from_alpha(n, alpha)
+            c = classify(params, assume_irreducible=True)
+            generic = certify_large_galois(glp_normalized(params))
+            for cert, want in [(c.certificate, from_classify), (generic, from_certify)]:
+                assert cert.verdict == CONTAINS_AN
+                assert (cert.witness_prime_q, cert.valuation_prime_p, cert.slope) == want
+            assert c.criterion_prime == from_classify[0]
+            assert c.certificate.newton_index == generic.newton_index
+
+    def test_group_claim_invariants(self):
+        params = GlpParams(9, 0, 1)
+        delta = schur_discriminant(9, 0)
+        weak = GaloisCertificate(INCONCLUSIVE, 9, Fraction(0), 1, ASSUMED)
+        strong = classify(params).certificate
+        for group, square, cert in [(GROUP_SN, False, weak), (GROUP_AN, False, strong),
+                                    (GROUP_SN, True, strong)]:
+            with pytest.raises(DomainError):
+                Classification(group, delta, square, cert, 5, 5, params)
 
     def test_certificate_replay(self):
         c = classify(GlpParams(10, 0, 1))

@@ -74,6 +74,10 @@ class TestNewtonIndex:
         assert r.index == 6
         assert r.witnesses[3] == [Fraction(-1, 3)]
         assert r.witnesses[2] == [Fraction(-1, 2)]
+        # the atlas keeps the polygon of every candidate prime, ramified or not
+        assert r.polygons == {p: newton_polygon(parse_poly("6,18,9,1"), p) for p in (2, 3)}
+        unramified = newton_index(parse_poly("2,3,1"))
+        assert unramified.witnesses == {} and set(unramified.polygons) == {2}
         assert newton_index(parse_poly("-1,0,1")).index == 1
 
     def test_divides_lcm(self):
@@ -107,3 +111,8 @@ class TestSingleSlopeEvidence:
 
     def test_no_candidates(self):
         assert not single_slope_irreducibility_evidence(parse_poly("-1,0,1"))
+
+    def test_linear(self):
+        # degree 1: evidence iff some prime divides a_0 * a_1
+        assert single_slope_irreducibility_evidence(parse_poly("-2,1"))
+        assert not single_slope_irreducibility_evidence(parse_poly("1,1"))
