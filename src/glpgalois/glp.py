@@ -1,11 +1,12 @@
 """Generalized Laguerre Polynomials and the A_n / S_n classifier.
 
-L_n^(a)(x) = sum_j binom(n+a, n-j) (-x)^j / j! for rational a that is not a
-negative integer.  The classifier works with the monic integral normalization
-f(x) = mu^n n! L_n^(lam/mu)(-x/mu) = sum_j binom(n,j) c_j x^j with
-c_j = prod_{k=j+1}^n (k*mu + lam), hunts for a criterion prime in the Jordan
-window via the coefficient-valuation shortcut, and resolves A_n vs S_n by the
-squareness of the discriminant product Delta = prod_{j=2}^n j^j (a+j)^(j-1).
+L_n^(a)(x) = sum_j binom(n+a, n-j) (-x)^j / j! for rational a that is not an
+integer in [-n, -1], where x divides it.  The classifier works with the monic
+integral normalization f(x) = mu^n n! L_n^(lam/mu)(-x/mu) = sum_j binom(n,j)
+c_j x^j with c_j = prod_{k=j+1}^n (k*mu + lam), hunts for a criterion prime in
+the Jordan window via the coefficient-valuation shortcut, and resolves A_n vs
+S_n by the squareness of the discriminant product
+Delta = prod_{j=2}^n j^j (a+j)^(j-1).
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class GlpParams:
             raise DomainError("mu must be >= 1")
         if math.gcd(self.lam, self.mu) != 1:
             raise DomainError("lam/mu must be in lowest terms")
-        if self.mu == 1 and self.lam < 0:
-            raise DomainError("alpha must not be a negative integer (x divides the polynomial)")
+        if self.mu == 1 and -self.n <= self.lam <= -1:
+            raise DomainError(
+                "alpha must not be an integer in [-n, -1] (x divides the polynomial)"
+            )
 
     @staticmethod
     def from_alpha(n: int, alpha: Union[int, Fraction, str]) -> "GlpParams":
@@ -164,7 +167,7 @@ def _irreducibility_evidence(
         return SINGLE_SLOPE
     disc = normalized_discriminant(params)
     sample = list(islice(good_primes(f, disc=disc), _EVIDENCE_PRIME_BUDGET))
-    surviving = degree_set_filter(f, sample, disc=disc, stop_when_irreducible=True)
+    surviving = degree_set_filter(f, sample, stop_when_irreducible=True)
     if surviving == {0, f.degree}:
         return DEGREE_SET_FILTER
     return ASSUMED if assume else None

@@ -3,24 +3,24 @@
 Only factor-degree multisets are ever needed, so the equal-degree stage of
 factorization is skipped entirely: the degree-d block found by the gcd ladder
 with x^(p^d) - x contributes deg/d copies of d.  This keeps the whole module
-deterministic.  The inner F_p[x] arithmetic uses int64 numpy vectors; primes
-are checked against the overflow bound.
+deterministic.  F_p[x] elements are trimmed lists of Python-int residues,
+lowest degree first.  Products use Kronecker substitution: the coefficients
+are packed into byte slots of one big integer, multiplied, and unpacked.
+Reduction mod fbar adds multiples of a packed table of x^k mod fbar.  Whether
+p is good is decided once, by the reduction itself, and p is not bounded.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Callable, Iterator, Optional
 
 from .errors import BadPrimeError, DomainError
 from .polys import Poly, discriminant
-from .primes import is_prime, ord_p, primes
+from .primes import is_prime, primes
 
-_P_LIMIT = 1 << 25  # keeps p^2 * deg far inside int64
+Residues = list[int]
 
 
 @dataclass(frozen=True)
@@ -37,156 +37,158 @@ class CycleType:
         return (self.n - len(self.degrees)) % 2 == 0
 
 
-@functools.lru_cache(maxsize=256)
-def _cached_discriminant(f: Poly) -> Fraction:
-    return discriminant(f)
+def _degree_drops(f: Poly, p: int) -> bool:
+    """Checks the request; True iff p divides a denominator or the leading
+    numerator, so that f has no reduction of full degree mod p."""
+    if f.degree < 1:
+        raise DomainError("requires degree >= 1")
+    if not is_prime(p):
+        raise BadPrimeError(f"{p} is not prime")
+    return f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs)
 
 
 def is_good_prime(f: Poly, p: int, disc: Optional[Fraction] = None) -> bool:
     """True iff p divides neither disc(f) nor the leading coefficient nor any
     coefficient denominator.  `disc` may be supplied when known analytically."""
-    if f.degree < 1:
-        raise DomainError("requires degree >= 1")
-    if not is_prime(p):
-        raise BadPrimeError(f"{p} is not prime")
-    if any(ord_p(c, p) < 0 for c in f.coeffs if c != 0):
-        return False
-    if ord_p(f.leading, p) != 0:
+    if _degree_drops(f, p):
         return False
     if disc is None:
-        disc = _cached_discriminant(f)
-    return ord_p(disc, p) == 0
+        disc = discriminant(f)
+    return disc.numerator % p != 0 and disc.denominator % p != 0
 
 
 def good_primes(f: Poly, disc: Optional[Fraction] = None) -> Iterator[int]:
     """The good primes of f, ascending."""
     if disc is None:
-        disc = _cached_discriminant(f)
+        disc = discriminant(f)
     for p in primes():
         if is_good_prime(f, p, disc=disc):
             yield p
 
 
-def _monic_reduction(f: Poly, p: int) -> np.ndarray:
-    coeffs = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise BadPrimeError(f"coefficient denominator vanishes mod {p}")
-        coeffs.append(c.numerator * pow(c.denominator, -1, p) % p)
-    if coeffs[-1] == 0:
-        raise BadPrimeError(f"leading coefficient vanishes mod {p}")
-    inv = pow(coeffs[-1], -1, p)
-    return np.array([c * inv % p for c in coeffs], dtype=np.int64)
+def _trim(a: Residues) -> Residues:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if len(nz) else a[:0]
+def _pack(a: Residues, w: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return a[:0]
-    c = np.convolve(a, b) % p
-    n = len(f) - 1
-    for i in range(len(c) - 1, n - 1, -1):
-        q = c[i]
-        if q:
-            c[i - n : i + 1] = (c[i - n : i + 1] - q * f) % p
-    return _trim(c[:n])
-
-def _powmod(a: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    base = a
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
-        e >>= 1
-    return result
+def _unpack(v: int, w: int, m: int, p: int) -> Residues:
+    """The m w-byte slots of v, each reduced mod p."""
+    b = v.to_bytes(m * w, "little")
+    return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, m * w, w)]
 
 
-def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # b monic
-    a = a.copy()
+def _product(a: Residues, b: Residues, p: int) -> Residues:
+    w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
+    return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, p)
+
+
+def _mulmod_by(fbar: Residues, p: int) -> Callable[[Residues, Residues], Residues]:
+    """Multiplication in F_p[x]/(fbar) for a monic fbar of degree n >= 1."""
+    n = len(fbar) - 1
+    # a slot collects at most n products from the multiplication and n - 1
+    # from the reduction, each at most (p - 1)^2
+    w = (2 * n * (p - 1) ** 2).bit_length() // 8 + 1
+    xn = [-c % p for c in fbar[:n]]  # x^n mod fbar
+    table, t = [], xn  # table[k - n] = x^k mod fbar, packed, k = n..2n-2
+    for _ in range(n - 1):
+        table.append(_pack(t, w))
+        t = [(lo + t[-1] * c) % p for lo, c in zip([0] + t[:-1], xn)]
+    shift = 8 * w * n
+
+    def mulmod(a: Residues, b: Residues) -> Residues:
+        pa = _pack(a, w)
+        c = pa * (pa if b is a else _pack(b, w))
+        high = _unpack(c >> shift, w, n - 1, p)
+        r = (c & ((1 << shift) - 1)) + sum(h * t for h, t in zip(high, table))
+        return _trim(_unpack(r, w, n, p))
+
+    return mulmod
+
+
+def _divmod(a: Residues, b: Residues, p: int) -> tuple[Residues, Residues]:
+    """Schoolbook quotient and remainder of a by a monic b."""
+    a = a[:]
     n = len(b) - 1
+    q = [0] * (len(a) - n)
     for i in range(len(a) - 1, n - 1, -1):
-        q = a[i]
-        if q:
-            a[i - n : i + 1] = (a[i - n : i + 1] - q * b) % p
-    return _trim(a[:n])
+        c = q[i - n] = a[i]
+        if c:
+            a[i - n : i] = [(x - c * y) % p for x, y in zip(a[i - n : i], b)]
+    return q, _trim(a[:n])
 
 
-def _make_monic(a: np.ndarray, p: int) -> np.ndarray:
-    return a * pow(int(a[-1]), -1, p) % p
+def _monic(a: Residues, p: int) -> Residues:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    while len(b):
-        a, b = b, _polymod(a, _make_monic(b, p), p)
-    return _make_monic(a, p) if len(a) else a
+def _gcd(a: Residues, b: Residues, p: int) -> Residues:
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
 
 
-def _ddf_degrees(fbar: np.ndarray, p: int) -> tuple[list[int], list[np.ndarray]]:
+def _good_reduction(f: Poly, p: int) -> Residues:
+    """The monic reduction fbar of f mod p.  p is good iff f keeps its degree
+    mod p and gcd(fbar, fbar') = 1, i.e. iff p does not divide disc(f)."""
+    bad = BadPrimeError(f"{p} is not a good prime for this polynomial")
+    if _degree_drops(f, p):
+        raise bad
+    inv = f.leading.denominator * pow(f.leading.numerator, -1, p)
+    fbar = [c.numerator * pow(c.denominator, -1, p) * inv % p for c in f.coeffs]
+    deriv = _trim([k * c % p for k, c in enumerate(fbar)][1:])
+    if len(_gcd(fbar, deriv, p)) != 1:
+        raise bad
+    return fbar
+
+
+def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
     """Degrees of the irreducible factors of a square-free monic fbar, plus
-    the per-degree blocks for the reconstruction check."""
+    the per-degree blocks for the reconstruction check.  h = x^(p^d) is kept
+    mod fbar itself: every cofactor divides fbar, so the gcd is the same."""
+    mulmod = _mulmod_by(fbar, p)
     degrees: list[int] = []
-    blocks: list[np.ndarray] = []
-    fcur = fbar
-    x = np.array([0, 1], dtype=np.int64)
-    h = x.copy()
-    d = 0
-    while len(fcur) - 1 > 0:
+    blocks: list[Residues] = []
+    fcur, h, d = fbar, [0, 1], 0
+    while len(fcur) > 1:
         d += 1
         if 2 * d > len(fcur) - 1:
             degrees.append(len(fcur) - 1)
             blocks.append(fcur)
             break
-        h = _powmod(h, p, fcur, p)
-        hx = np.zeros(max(len(h), 2), dtype=np.int64)
-        hx[: len(h)] = h
-        hx[1] = (hx[1] - 1) % p  # h - x
-        diff = _trim(hx)
-        g = _gcd(fcur, diff, p) if len(diff) else fcur
-        if len(g) - 1 > 0:
+        base = h
+        for bit in bin(p)[3:]:
+            h = mulmod(h, h)
+            if bit == "1":
+                h = mulmod(h, base)
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p  # h - x
+        g = _gcd(fcur, _trim(diff), p)
+        if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
             blocks.append(g)
-            fcur = _exact_div(fcur, g, p)
-            h = _polymod(h, fcur, p) if len(fcur) - 1 > 0 else h
+            fcur, rest = _divmod(fcur, g, p)
+            if rest:
+                raise DomainError("division was not exact")
     return degrees, blocks
 
 
-def _exact_div(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # a, b monic, b | a
-    a = a.copy()
-    n = len(b) - 1
-    q = np.zeros(len(a) - n, dtype=np.int64)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i]
-        if c:
-            q[i - n] = c
-            a[i - n : i + 1] = (a[i - n : i + 1] - c * b) % p
-    assert not np.any(a[:n]), "division was not exact"
-    return q
-
-
-def factor_degrees(f: Poly, p: int, disc: Optional[Fraction] = None) -> CycleType:
+def factor_degrees(f: Poly, p: int) -> CycleType:
     """Degree multiset of the irreducible factors of f mod a good prime p."""
-    if not is_good_prime(f, p, disc=disc):
-        raise BadPrimeError(f"{p} is not a good prime for this polynomial")
-    fbar = _monic_reduction(f, p)
-    if p >= _P_LIMIT:
-        raise BadPrimeError(f"prime {p} exceeds the supported bound {_P_LIMIT}")
-    deriv = _trim(np.arange(len(fbar), dtype=np.int64)[1:] * fbar[1:] % p)
-    if len(_gcd(fbar, deriv, p)) != 1:
-        raise BadPrimeError(f"f mod {p} is not square-free")
+    fbar = _good_reduction(f, p)
     degrees, blocks = _ddf_degrees(fbar, p)
-    # Reconstruction: the product of the blocks is the monic reduction.
-    prod = np.array([1], dtype=np.int64)
+    # Reconstruction: the blocks multiply back to fbar, their degrees to n.
+    prod = [1]
     for b in blocks:
-        prod = np.convolve(prod, b) % p
-    assert np.array_equal(prod, fbar), "factor blocks do not multiply back to f mod p"
-    assert sum(degrees) == f.degree
+        prod = _product(prod, b, p)
+    if prod != fbar or sum(degrees) != f.degree:
+        raise DomainError("factor blocks do not multiply back to f mod p")
     return CycleType(degrees=tuple(sorted(degrees)), prime=p)
 
 
@@ -199,10 +201,7 @@ def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
 
 
 def degree_set_filter(
-    f: Poly,
-    primes_list: list[int],
-    disc: Optional[Fraction] = None,
-    stop_when_irreducible: bool = False,
+    f: Poly, primes_list: list[int], stop_when_irreducible: bool = False
 ) -> set[int]:
     """Intersect the subset-sum closures of the factor-degree multisets over
     the given good primes; a superset of the degrees of rational factors of f.
@@ -210,7 +209,7 @@ def degree_set_filter(
     n = f.degree
     out = frozenset(range(n + 1))
     for p in primes_list:
-        out &= subset_sum_closure(factor_degrees(f, p, disc=disc).degrees)
+        out &= subset_sum_closure(factor_degrees(f, p).degrees)
         if stop_when_irreducible and out == {0, n}:
             break
     return set(out)

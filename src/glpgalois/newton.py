@@ -36,12 +36,15 @@ class NewtonPolygon:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        # Convexity and endpoint invariants hold on every construction.
-        slopes = [s.slope for s in self.segments]
-        assert all(a < b for a, b in zip(slopes, slopes[1:])), "slopes not increasing"
-        assert self.vertices[0] == self.points[0]
-        assert self.vertices[-1] == self.points[-1]
-        assert sum(s.length for s in self.segments) == self.points[-1][0] - self.points[0][0]
+        # Convexity and endpoint invariants; an explicit raise survives `python -O`.
+        slopes = self.slopes
+        if not (
+            all(a < b for a, b in zip(slopes, slopes[1:]))
+            and self.vertices[0] == self.points[0]
+            and self.vertices[-1] == self.points[-1]
+            and sum(s.length for s in self.segments) == self.points[-1][0] - self.points[0][0]
+        ):
+            raise DomainError("Newton polygon is not a convex hull of its points")
 
     @property
     def slopes(self) -> list[Fraction]:

@@ -142,13 +142,11 @@ def _sylvester(fd: Sequence[int], gd: Sequence[int]) -> list[list[int]]:
     # fd, gd: descending integer coefficients; sizes n+1, m+1 with n,m >= 1
     n = len(fd) - 1
     m = len(gd) - 1
-    size = n + m
     rows = []
     for i in range(m):
         rows.append([0] * i + list(fd) + [0] * (m - 1 - i))
     for i in range(n):
         rows.append([0] * i + list(gd) + [0] * (n - 1 - i))
-    assert all(len(r) == size for r in rows)
     return rows
 
 

@@ -211,7 +211,7 @@ def test_criterion_8_modp_engine(schur_classifications):
         fpoly = glp_normalized(params)
         disc = normalized_discriminant(params)
         ps = list(islice(good_primes(fpoly, disc=disc), 50))
-        samples = [factor_degrees(fpoly, p, disc=disc) for p in ps]
+        samples = [factor_degrees(fpoly, p) for p in ps]
         assert parity_evidence(samples) == ALL_EVEN, (n, alpha)
         an_checked += 1
     assert an_checked > 0

@@ -41,6 +41,12 @@ class TestParams:
         with pytest.raises(DomainError):
             GlpParams.from_alpha(4, -3)
 
+    def test_integer_alpha_rejected_only_where_x_divides(self):
+        with pytest.raises(DomainError, match=r"\[-n, -1\]"):
+            GlpParams.from_alpha(6, -6)
+        for alpha in (-7, -8, -40):
+            assert GlpParams.from_alpha(6, alpha).lam == alpha
+
     def test_lowest_terms_enforced(self):
         with pytest.raises(DomainError):
             GlpParams(4, 2, 4)
@@ -229,6 +235,25 @@ class TestClassify:
             "certificate",
             "irreducibility_basis",
         }
+
+
+class TestSchurTruncatedExponential:
+    # alpha = -1-n gives L_n = (-1)^n e_n(x), e_n(x) = sum_{j<=n} x^j / j!, whose
+    # Galois group is A_n exactly when 4 | n (Schur): an independent oracle.
+    def test_polynomial_is_truncated_exponential(self):
+        for n in range(1, 16):
+            e_n = [Fraction((-1) ** n, math.factorial(j)) for j in range(n + 1)]
+            assert glp(GlpParams(n, -1 - n, 1)).coeffs == tuple(e_n)
+
+    def test_group_matches_schur(self):
+        certified = 0
+        for n in range(8, 41):
+            c = classify(GlpParams(n, -1 - n, 1))
+            if c.group == GROUP_INCONCLUSIVE:
+                continue
+            assert c.group == (GROUP_AN if n % 4 == 0 else GROUP_SN), n
+            certified += 1
+        assert certified >= 30
 
 
 class TestCoefficientProducts:

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from glpgalois.errors import BadPrimeError
+import glpgalois
+from glpgalois.errors import BadPrimeError, DomainError
 from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
@@ -44,6 +49,10 @@ class TestFactorDegrees:
     def test_bad_prime_rejected(self):
         with pytest.raises(BadPrimeError):
             factor_degrees(parse_poly("1,0,1"), 2)
+        with pytest.raises(BadPrimeError, match="9 is not prime"):
+            factor_degrees(parse_poly("1,0,1"), 9)
+        with pytest.raises(DomainError):
+            factor_degrees(parse_poly("3"), 5)
 
     def test_low_degree_oracle(self):
         rng = random.Random(61)
@@ -76,6 +85,34 @@ class TestFactorDegrees:
             ct = factor_degrees(f, p)
             assert sum(ct.degrees) == f.degree
             done += 1
+
+    def test_good_prime_iff_factor_degrees_returns(self):
+        # goodness is decided by the reduction itself and must agree with p | disc(f)
+        rng = random.Random(71)
+        primes = [p for p in range(2, 1010) if trial_division_is_prime(p)]
+        for i in range(250):
+            deg = rng.randint(1, 14)
+            dens = [1] if i % 2 else [1, 2, 3, 5, 7]
+            coeffs = [Fraction(rng.randint(-30, 30), rng.choice(dens)) for _ in range(deg + 1)]
+            small = rng.choice(primes[:6])
+            coeffs[-1] = rng.choice([1, -2, small, Fraction(1, small)])
+            f = poly_from_coeffs(coeffs)
+            tried = rng.sample(primes[:10], 3) + rng.sample(primes, 2) + [small]
+            tried += [q for q in primes[:10] if deg % q == 0]
+            for p in tried:
+                try:
+                    ct = factor_degrees(f, p)
+                except BadPrimeError as e:
+                    assert not is_good_prime(f, p), (f, p)
+                    assert str(e) == f"{p} is not a good prime for this polynomial"
+                else:
+                    assert is_good_prime(f, p), (f, p)
+                    assert sum(ct.degrees) == deg
+
+    def test_primes_above_2_to_the_25(self):
+        # both above 2^25; 33554473 = 1 and 33554467 = 3 mod 4
+        assert factor_degrees(parse_poly("1,0,1"), 33554473).degrees == (1, 1)
+        assert factor_degrees(parse_poly("1,0,1"), 33554467).degrees == (2,)
 
     def test_chebotarev_pattern_x2_plus_1(self):
         f = parse_poly("1,0,1")
@@ -113,3 +150,12 @@ class TestParity:
         assert not CycleType((2,), 3).is_even
         assert CycleType((3,), 7).is_even
         assert CycleType((1, 2, 4), 11).is_even  # (7 - 3) even
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, glpgalois, glpgalois.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(glpgalois.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout == "False\n", out.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,13 @@ class TestPolygon:
         assert len(np.segments) == 1
         assert np.segments[0].slope == Fraction(-1, 2)
         assert np.segments[0].length == 2
+
+    def test_hull_invariants_raise(self):
+        np = newton_polygon(parse_poly("6,18,9,1"), 3)
+        with pytest.raises(DomainError):
+            replace(np, vertices=((0, 0), (3, 0)))
+        with pytest.raises(DomainError):
+            replace(np, segments=np.segments * 2)
 
     def test_cubic_example(self):
         np = newton_polygon(parse_poly("6,18,9,1"), 3)
