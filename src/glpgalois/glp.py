@@ -144,9 +144,10 @@ def is_rational_square(q: Union[int, Fraction]) -> bool:
 
 def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
     """Largest prime p = mu*ell + lam in the search window that passes the
-    coefficient-valuation shortcut; returns (p, ell) or None."""
+    coefficient-valuation shortcut; returns (p, ell) or None.  For alpha < -n
+    every factor k*mu + lam with k <= n is negative, so there is none."""
     n, lam, mu = params.n, params.lam, params.mu
-    if n < 5:
+    if n < 5 or lam < -n * mu:
         return None
     c = normalized_coefficient_products(params)
     lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil

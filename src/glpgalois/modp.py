@@ -1,19 +1,23 @@
 """Frobenius cycle types via distinct-degree factorization over F_p.
 
 Only factor-degree multisets are ever needed, so the equal-degree stage of
-factorization is skipped entirely: the degree-d block found by the gcd ladder
-with x^(p^d) - x contributes deg/d copies of d.  This keeps the whole module
-deterministic.  F_p[x] elements are trimmed lists of Python-int residues,
-lowest degree first.  Products use Kronecker substitution: the coefficients
-are packed into byte slots of one big integer, multiplied, and unpacked.
-Reduction mod fbar adds multiples of a packed table of x^k mod fbar.  Whether
-p is good is decided once, by the reduction itself, and p is not bounded.
-"""
+factorization is skipped entirely: the degree-d block of x^(p^d) - x
+contributes deg/d copies of d.  This keeps the whole module deterministic.
+F_p[x] elements are trimmed lists of Python-int residues, lowest degree
+first.  Products use Kronecker substitution: the coefficients are packed into
+byte slots of one big integer, multiplied, and unpacked.  Reduction mod fbar
+adds multiples of a packed table of x^k mod fbar; h -> h^p adds multiples of
+a packed Frobenius table of x^(ip) mod fbar.  The h - x of a run of isqrt(n)
+consecutive d meet f in one gcd.  Whether p is good is decided once, by the
+reduction itself, and p is not bounded."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import isqrt
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .errors import BadPrimeError, DomainError
@@ -87,27 +91,42 @@ def _product(a: Residues, b: Residues, p: int) -> Residues:
     return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, p)
 
 
-def _mulmod_by(fbar: Residues, p: int) -> Callable[[Residues, Residues], Residues]:
-    """Multiplication in F_p[x]/(fbar) for a monic fbar of degree n >= 1."""
+def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
+    """Multiplication and the Frobenius map h -> h^p in F_p[x]/(fbar), for a
+    monic fbar of degree n >= 1.  h^p = h(x^p) is F_p-linear, so it is the sum
+    of h_i times the packed row x^(ip) mod fbar."""
     n = len(fbar) - 1
-    # a slot collects at most n products from the multiplication and n - 1
-    # from the reduction, each at most (p - 1)^2
+    # a slot collects at most n products from a multiplication or a Frobenius
+    # sum and n - 1 from the reduction, each at most (p - 1)^2
     w = (2 * n * (p - 1) ** 2).bit_length() // 8 + 1
     xn = [-c % p for c in fbar[:n]]  # x^n mod fbar
-    table, t = [], xn  # table[k - n] = x^k mod fbar, packed, k = n..2n-2
+    table, t = [1 << 8 * w * k for k in range(n)], xn  # table[k] = x^k mod fbar, packed
     for _ in range(n - 1):
         table.append(_pack(t, w))
         t = [(lo + t[-1] * c) % p for lo, c in zip([0] + t[:-1], xn)]
-    shift = 8 * w * n
+    high_table, shift = table[n:], 8 * w * n
 
     def mulmod(a: Residues, b: Residues) -> Residues:
         pa = _pack(a, w)
         c = pa * (pa if b is a else _pack(b, w))
         high = _unpack(c >> shift, w, n - 1, p)
-        r = (c & ((1 << shift) - 1)) + sum(h * t for h, t in zip(high, table))
+        r = (c & ((1 << shift) - 1)) + sum(map(mul, high, high_table))
         return _trim(_unpack(r, w, n, p))
 
-    return mulmod
+    # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then by steps of x^p
+    first = (2 * n - 2) // p + 1
+    rows, xp = table[: first * p : p], [0, 1]
+    for bit in bin(p)[3:] if first < n else "":  # x^p, once some row needs it
+        xp = mulmod(mulmod(xp, xp), [0, 1]) if bit == "1" else mulmod(xp, xp)
+    r = _trim(_unpack(rows[-1], w, n, p))
+    for _ in range(first, n):
+        r = mulmod(r, xp)
+        rows.append(_pack(r, w))
+
+    def frobenius(h: Residues) -> Residues:
+        return _trim(_unpack(sum(map(mul, h, rows)), w, n, p))
+
+    return mulmod, frobenius
 
 
 def _divmod(a: Residues, b: Residues, p: int) -> tuple[Residues, Residues]:
@@ -148,34 +167,45 @@ def _good_reduction(f: Poly, p: int) -> Residues:
     return fbar
 
 
+def _exact_quotient(a: Residues, b: Residues, p: int) -> Residues:
+    q, rest = _divmod(a, b, p)
+    if rest:
+        raise DomainError("division was not exact")
+    return q
+
+
 def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
     """Degrees of the irreducible factors of a square-free monic fbar, plus
     the per-degree blocks for the reconstruction check.  h = x^(p^d) is kept
-    mod fbar itself: every cofactor divides fbar, so the gcd is the same."""
-    mulmod = _mulmod_by(fbar, p)
+    mod fbar itself: every cofactor divides fbar, so the gcd is the same.  A
+    run's gcd g is split d by d only when it is not 1."""
+    mulmod, frobenius = _quotient_ring(fbar, p)
+    run = isqrt(len(fbar) - 1)
     degrees: list[int] = []
     blocks: list[Residues] = []
     fcur, h, d = fbar, [0, 1], 0
-    while len(fcur) > 1:
-        d += 1
-        if 2 * d > len(fcur) - 1:
-            degrees.append(len(fcur) - 1)
-            blocks.append(fcur)
-            break
-        base = h
-        for bit in bin(p)[3:]:
-            h = mulmod(h, h)
-            if bit == "1":
-                h = mulmod(h, base)
-        diff = h + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p  # h - x
-        g = _gcd(fcur, _trim(diff), p)
-        if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            blocks.append(g)
-            fcur, rest = _divmod(fcur, g, p)
-            if rest:
-                raise DomainError("division was not exact")
+    while 2 * (d + 1) <= len(fcur) - 1:
+        diffs = {}
+        for d in range(d + 1, min(d + run, (len(fcur) - 1) // 2) + 1):
+            h = frobenius(h)
+            diff = h + [0] * (2 - len(h))
+            diff[1] = (diff[1] - 1) % p  # h - x
+            diffs[d] = _trim(diff)
+        g = _gcd(fcur, reduce(mulmod, diffs.values()), p)
+        # ascending, each block divided out of g first, as gcd(g, h - x) also
+        # holds factors whose degree divides d; the last d takes the rest of g
+        for e, diff in diffs.items():
+            if len(g) == 1:
+                break
+            b = g if e == d else _gcd(g, diff, p)
+            if len(b) > 1:
+                degrees.extend([e] * ((len(b) - 1) // e))
+                blocks.append(b)
+                g = _exact_quotient(g, b, p)
+                fcur = _exact_quotient(fcur, b, p)
+    if len(fcur) > 1:  # no factor of degree <= deg/2 is left
+        degrees.append(len(fcur) - 1)
+        blocks.append(fcur)
     return degrees, blocks
 
 

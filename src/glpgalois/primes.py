@@ -24,17 +24,18 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _small_primes() -> list[int]:
+def _sieve() -> bytearray:
+    """_SIEVE[m] is 1 iff m < 2^16 is prime."""
     sieve = bytearray([1]) * _SIEVE_LIMIT
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(_SIEVE_LIMIT) if sieve[i]]
+    return sieve
 
 
-SMALL_PRIMES = _small_primes()
-_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_SIEVE = _sieve()
+SMALL_PRIMES = [i for i in range(_SIEVE_LIMIT) if _SIEVE[i]]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -57,7 +58,7 @@ def is_prime(m: int) -> bool:
     if m < 2:
         return False
     if m < _SIEVE_LIMIT:
-        return m in _SMALL_PRIME_SET
+        return _SIEVE[m] == 1
     for p in SMALL_PRIMES:
         if p * p > m:
             return True

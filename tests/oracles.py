@@ -3,10 +3,11 @@
 These deliberately avoid the library's own code paths: determinants are
 computed by rational Gaussian elimination instead of Bareiss, hulls by an
 all-pairs gift wrap instead of a monotone chain, primality by trial division,
-and mod-p factor shapes by exhaustive root search.
+and mod-p factor shapes by exhaustive root search or trial division.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from glpgalois.polys import Poly
 
@@ -97,3 +98,26 @@ def low_degree_factor_degrees(int_coeffs, p):
     if n == 2:
         return (1, 1) if roots == 2 else (2,)
     return {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[roots]
+
+
+def _has_monic_divisor_mod_p(coeffs, e, p):
+    """True iff some monic polynomial of degree e divides coeffs (low first) mod p."""
+    for tail in product(range(p), repeat=e):
+        rem = list(coeffs)
+        for i in range(len(rem) - 1, e - 1, -1):
+            c = rem[i]
+            for j in range(e):
+                rem[i - e + j] = (rem[i - e + j] - c * tail[j]) % p
+            rem[i] = 0
+        if not any(rem):
+            return True
+    return False
+
+
+def is_irreducible_mod_p(int_coeffs, p):
+    """Irreducibility over F_p of a monic polynomial (coefficients low first),
+    by trial division by every monic polynomial of degree <= deg/2."""
+    coeffs = [c % p for c in int_coeffs]
+    assert coeffs[-1] == 1
+    n = len(coeffs) - 1
+    return not any(_has_monic_divisor_mod_p(coeffs, e, p) for e in range(1, n // 2 + 1))

@@ -255,6 +255,16 @@ class TestSchurTruncatedExponential:
             certified += 1
         assert certified >= 30
 
+    def test_no_criterion_prime_below_minus_n(self):
+        # for alpha < -n every factor k + alpha with k <= n is negative, so no
+        # prime p = ell + alpha with ell <= n exists; the window primes certify
+        for n in range(8, 41):
+            c = classify(GlpParams(n, -1 - n, 1))
+            assert (c.criterion_prime, c.ell) == (None, None), n
+            assert c.group == (GROUP_AN if n % 4 == 0 else GROUP_SN), n
+        for alpha in (-50, Fraction(-31, 3)):
+            assert find_criterion_prime(GlpParams.from_alpha(10, alpha)) is None
+
 
 class TestCoefficientProducts:
     def test_values(self):

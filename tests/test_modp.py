@@ -22,7 +22,7 @@ from glpgalois.modp import (
 )
 from glpgalois.polys import parse_poly, poly_from_coeffs
 
-from oracles import low_degree_factor_degrees, trial_division_is_prime
+from oracles import is_irreducible_mod_p, low_degree_factor_degrees, trial_division_is_prime
 
 
 class TestGoodPrime:
@@ -121,6 +121,77 @@ class TestFactorDegrees:
                 continue
             degrees = factor_degrees(f, p).degrees
             assert degrees == ((1, 1) if p % 4 == 1 else (2,))
+
+
+def _product_of_irreducibles(p, degrees, rng):
+    """A monic integer polynomial whose reduction mod p is the product of
+    distinct monic factors of the given degrees, each irreducible mod p by
+    trial division."""
+    factors = []
+    for e in degrees:
+        while True:
+            c = [rng.randrange(p) for _ in range(e)] + [1]
+            if c not in factors and is_irreducible_mod_p(c, p):
+                factors.append(c)
+                break
+    prod = poly_from_coeffs([1])
+    for c in factors:
+        prod = prod * poly_from_coeffs(c)
+    return prod
+
+
+class TestBatchedDdf:
+    # the h - x of a run of isqrt(n) consecutive d share one gcd, which is
+    # split d by d; a run holding d and 2d needs the degree-d block divided
+    # out before 2d is tried
+    @pytest.mark.parametrize("p, degrees", [
+        (2, [1, 1, 2, 3, 3, 4, 6, 16]),  # n 36, run 1..6 holds 1, 2, 4 and 3, 6
+        (3, [1, 1, 2, 3, 4, 6, 19]),  # 19 > n/2
+        (2, [1, 2, 4, 17]),  # n 24, run 1..4; 17 > n/2
+        (3, [2, 2, 4, 5, 15]),
+        (67, [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),  # p > 2n
+    ])
+    def test_known_factor_degrees(self, p, degrees):
+        f = _product_of_irreducibles(p, degrees, random.Random(sum(degrees) * p))
+        assert factor_degrees(f, p).degrees == tuple(sorted(degrees))
+
+    def test_random_known_factor_degrees(self):
+        rng = random.Random(73)
+        top = {3: 12, 5: 8, 7: 6, 67: 5}  # keeps trial division cheap
+        for _ in range(40):
+            p, n = rng.choice(sorted(top)), rng.randint(10, 30)
+            degrees = []
+            while sum(degrees) < n:  # two of each degree up to 5 make 30
+                e = rng.randint(1, top[p])
+                if degrees.count(e) < 2:
+                    degrees.append(e)
+            f = _product_of_irreducibles(p, degrees, rng)
+            assert factor_degrees(f, p).degrees == tuple(sorted(degrees)), (p, degrees)
+
+    def test_degrees_one_and_two(self):
+        for p in (2, 3, 5, 7, 1009):
+            assert factor_degrees(parse_poly("3,1"), p).degrees == (1,)
+        assert factor_degrees(parse_poly("1,1,1"), 2).degrees == (2,)
+        assert factor_degrees(parse_poly("0,1,1"), 2).degrees == (1, 1)
+        assert factor_degrees(parse_poly("-2,0,1"), 7).degrees == (1, 1)
+        assert factor_degrees(parse_poly("-2,0,1"), 5).degrees == (2,)
+
+    def test_completely_split(self):
+        # x^p = x mod fbar, so every h - x and the run's product are zero
+        for p, roots in ((7, range(7)), (11, range(1, 10)), (2, range(2))):
+            f = poly_from_coeffs([1])
+            for a in roots:
+                f = f * poly_from_coeffs([-a, 1])
+            assert factor_degrees(f, p).degrees == (1,) * len(roots)
+
+    def test_p2_every_degree_up_to_24(self):
+        # at p = 2 every Frobenius row x^(2i), i < n, is in the reduction table
+        rng = random.Random(79)
+        for n in range(1, 25):
+            a = max(1, n // 3)
+            for degrees in ([n], [a, n - a]) if n > 1 else ([n],):
+                f = _product_of_irreducibles(2, degrees, rng)
+                assert factor_degrees(f, 2).degrees == tuple(sorted(degrees)), degrees
 
 
 class TestDegreeSetFilter:
