@@ -117,19 +117,22 @@ def glp_normalized(params: GlpParams) -> Poly:
 
 
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
-    """Delta = prod_{j=2}^n j^j (alpha+j)^(j-1); defined as 1 for n = 1."""
+    """Delta = prod_{j=2}^n j^j (alpha+j)^(j-1); defined as 1 for n = 1.  With
+    alpha = lam/mu each alpha + j is (j*mu + lam)/mu, so Delta is one integer
+    product over mu^(n(n-1)/2)."""
     a = Fraction(alpha)
-    out = Fraction(1)
+    lam, mu = a.numerator, a.denominator
+    num = 1
     for j in range(2, n + 1):
-        out *= Fraction(j) ** j * (a + j) ** (j - 1)
-    return out
+        num *= j**j * (j * mu + lam) ** (j - 1)
+    return Fraction(num, mu ** (n * (n - 1) // 2))
 
 
 def normalized_discriminant(params: GlpParams) -> Fraction:
     """Discriminant of glp_normalized: the x -> -x/mu rescaling multiplies the
     Schur product by mu^(n(n-1))."""
     n = params.n
-    return Fraction(params.mu) ** (n * (n - 1)) * schur_discriminant(n, params.alpha)
+    return params.mu ** (n * (n - 1)) * schur_discriminant(n, params.alpha)
 
 
 def is_rational_square(q: Union[int, Fraction]) -> bool:
@@ -162,11 +165,11 @@ def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
 
 
 def _irreducibility_evidence(
-    f: Poly, report: NewtonIndexReport, params: GlpParams, assume: bool
+    f: Poly, report: NewtonIndexReport, disc: Fraction, assume: bool
 ) -> Optional[str]:
+    """The irreducibility basis of f, whose discriminant disc is known."""
     if report.single_slope:
         return SINGLE_SLOPE
-    disc = normalized_discriminant(params)
     sample = list(islice(good_primes(f, disc=disc), _EVIDENCE_PRIME_BUDGET))
     surviving = degree_set_filter(f, sample, stop_when_irreducible=True)
     if surviving == {0, f.degree}:
@@ -183,7 +186,8 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     delta = schur_discriminant(n, params.alpha)
     square = is_rational_square(delta)
     report = newton_index(f)
-    basis = _irreducibility_evidence(f, report, params, assume_irreducible)
+    disc = params.mu ** (n * (n - 1)) * delta  # = normalized_discriminant(params), disc(f)
+    basis = _irreducibility_evidence(f, report, disc, assume_irreducible)
 
     crit = find_criterion_prime(params)
     window = ([crit[0]] if crit else []) + jordan_window_primes(n)

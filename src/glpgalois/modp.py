@@ -5,14 +5,17 @@ factorization is skipped entirely: the degree-d block of x^(p^d) - x
 contributes deg/d copies of d.  This keeps the whole module deterministic.
 F_p[x] elements are trimmed lists of Python-int residues, lowest degree
 first.  Products use Kronecker substitution: the coefficients are packed into
-byte slots of one big integer, multiplied, and unpacked.  Reduction mod fbar
-adds multiples of a packed table of x^k mod fbar; h -> h^p adds multiples of
-a packed Frobenius table of x^(ip) mod fbar.  The h - x of a run of isqrt(n)
-consecutive d meet f in one gcd.  Whether p is good is decided once, by the
-reduction itself, and p is not bounded."""
+slots of one big integer, multiplied, and unpacked.  Slots of 1, 2, 4 or 8
+bytes are packed and unpacked in bulk through `array`; wider ones (large p)
+byte by byte.  Reduction mod fbar adds multiples of a packed table of x^k mod
+fbar; h -> h^p adds multiples of a packed Frobenius table of x^(ip) mod fbar.
+The h - x of a run of isqrt(n) consecutive d meet f in one gcd.  Whether p is
+good is decided once, by the reduction itself, and p is not bounded."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -25,6 +28,10 @@ from .polys import Poly, discriminant
 from .primes import is_prime, primes
 
 Residues = list[int]
+
+# unsigned array typecodes by item size; arrays hold native-order items, so
+# a big-endian host packs every slot byte by byte
+_SLOT_CODES = {array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {}
 
 
 @dataclass(frozen=True)
@@ -76,18 +83,30 @@ def _trim(a: Residues) -> Residues:
     return a
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for values up to bound, rounded up to 1, 2, 4 or 8."""
+    w = bound.bit_length() // 8 + 1
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
 def _pack(a: Residues, w: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    code = _SLOT_CODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    return int.from_bytes(array(code, a), "little")
 
 
 def _unpack(v: int, w: int, m: int, p: int) -> Residues:
     """The m w-byte slots of v, each reduced mod p."""
     b = v.to_bytes(m * w, "little")
-    return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, m * w, w)]
+    code = _SLOT_CODES.get(w)
+    if code is None:
+        return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, m * w, w)]
+    return [c % p for c in array(code, b)]
 
 
 def _product(a: Residues, b: Residues, p: int) -> Residues:
-    w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
+    w = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
     return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, p)
 
 
@@ -98,7 +117,7 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     n = len(fbar) - 1
     # a slot collects at most n products from a multiplication or a Frobenius
     # sum and n - 1 from the reduction, each at most (p - 1)^2
-    w = (2 * n * (p - 1) ** 2).bit_length() // 8 + 1
+    w = _slot_bytes(2 * n * (p - 1) ** 2)
     xn = [-c % p for c in fbar[:n]]  # x^n mod fbar
     table, t = [1 << 8 * w * k for k in range(n)], xn  # table[k] = x^k mod fbar, packed
     for _ in range(n - 1):

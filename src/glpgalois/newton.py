@@ -92,7 +92,7 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
         raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    points = [(j, int(ord_p(c, p))) for j, c in enumerate(f.coeffs) if c != 0]
+    points = [(j, ord_p(c, p)) for j, c in enumerate(f.coeffs) if c]
     vertices = _lower_hull(points)
     segments = tuple(
         Segment(

@@ -76,22 +76,23 @@ def primes() -> Iterator[int]:
             yield m
 
 
+def _multiplicity(m: int, p: int) -> int:
+    """The exponent of p in a nonzero integer m."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 def ord_p(q: Union[int, Fraction], p: int) -> Union[int, float]:
-    """The p-adic valuation of a rational; ord_p(0) is INFINITY."""
+    """The p-adic valuation of an int or a Fraction; ord_p(0) is INFINITY."""
     if not is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
+    num = q.numerator
+    if num == 0:
         return INFINITY
-
-    def _ord(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return _ord(abs(q.numerator)) - _ord(q.denominator)
+    return _multiplicity(num, p) - _multiplicity(q.denominator, p)
 
 
 def primes_in_ap_interval(lam: int, mu: int, lo: int, hi: int) -> list[int]:

@@ -13,6 +13,10 @@ from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
     CycleType,
+    _pack,
+    _product,
+    _slot_bytes,
+    _unpack,
     degree_set_filter,
     factor_degrees,
     good_primes,
@@ -192,6 +196,57 @@ class TestBatchedDdf:
             for degrees in ([n], [a, n - a]) if n > 1 else ([n],):
                 f = _product_of_irreducibles(2, degrees, rng)
                 assert factor_degrees(f, 2).degrees == tuple(sorted(degrees)), degrees
+
+
+class TestSlotWidths:
+    # Kronecker slots hold up to 2n(p - 1)^2 in the quotient ring and
+    # min(len) * (p - 1)^2 in a plain product; 1, 2, 4 and 8 bytes go through
+    # array, wider slots (every prime above 2^32 here) byte by byte
+    def test_slot_bytes(self):
+        for bits in range(200):
+            for bound in (1 << bits) - 1, 1 << bits:
+                w = _slot_bytes(bound)
+                assert bound < 1 << 8 * w
+                assert w in (1, 2, 4, 8) if bound.bit_length() < 64 else w > 8
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+    def test_pack_round_trip_full_slots(self, w):
+        top = (1 << 8 * w) - 1
+        a = [top, 0, 1, top, top // 3]
+        assert _pack(a, w) == sum(c << 8 * w * i for i, c in enumerate(a))
+        assert _unpack(_pack(a, w), w, len(a), 1 << 8 * w) == a
+
+    def test_product_matches_schoolbook(self):
+        rng = random.Random(83)
+        widths = set()
+        for p in (3, 61, 1009, 33554473, 4294967357, 2**61 - 1):
+            for _ in range(20):
+                a = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+                b = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+                expected = [0] * (len(a) + len(b) - 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        expected[i + j] = (expected[i + j] + x * y) % p
+                assert _product(a, b, p) == expected, (p, a, b)
+                widths.add(_slot_bytes(min(len(a), len(b)) * (p - 1) ** 2))
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+    @pytest.mark.parametrize("p, width", [
+        (3, 1), (11, 2), (1009, 4), (33554473, 8),
+        (4294967311, 9), (4294967357, 9), (2**61 - 1, 16),
+    ])
+    def test_factor_degrees(self, p, width):
+        # (x^2 + 1)(x - 1)...(x - k); k^2 + 1 < p keeps the factors coprime, and
+        # x^2 + 1 splits mod an odd p iff p = 1 mod 4
+        assert p == 2**61 - 1 or trial_division_is_prime(p)
+        k = 2 if p == 3 else 6
+        f = parse_poly("1,0,1")
+        for a in range(1, k + 1):
+            f = f * poly_from_coeffs([-a, 1])
+        assert _slot_bytes(2 * f.degree * (p - 1) ** 2) == width
+        quadratic = (1, 1) if p % 4 == 1 else (2,)
+        assert factor_degrees(f, p).degrees == tuple(sorted((1,) * k + quadratic))
+        assert factor_degrees(parse_poly("1,0,1"), p).degrees == quadratic
 
 
 class TestDegreeSetFilter:

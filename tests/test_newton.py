@@ -50,6 +50,19 @@ class TestPolygon:
         np = newton_polygon(parse_poly("1,1,1"), 5)
         assert np.slopes == [Fraction(0)]
 
+    def test_negative_heights_and_zero_coefficients(self):
+        # 4 - x/2 + 16x^4 at 2: a negative numerator, 2 divides a denominator
+        # (height -1), and the zero coefficients of x^2 and x^3 are omitted
+        np = newton_polygon(parse_poly("4,-1/2,0,0,16"), 2)
+        assert np.points == ((0, 2), (1, -1), (4, 4))
+        assert np.vertices == np.points
+        assert np.slopes == [Fraction(-3), Fraction(5, 3)]
+        assert all(type(h) is int for _, h in np.points)
+        np = newton_polygon(parse_poly("1/4,-3,0,8"), 2)
+        assert np.points == ((0, -2), (1, 0), (3, 3))
+        assert np.vertices == ((0, -2), (3, 3))
+        assert np.slopes == [Fraction(5, 3)]
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             newton_polygon(parse_poly("0,1"), 2)

@@ -45,6 +45,19 @@ class TestOrdP:
     def test_non_prime_rejected(self):
         with pytest.raises(BadPrimeError):
             ord_p(8, 6)
+        with pytest.raises(BadPrimeError):
+            ord_p(0, 6)
+
+    def test_edge_inputs(self):
+        assert ord_p(-24, 2) == 3  # negative numerators
+        assert ord_p(Fraction(-9, 4), 3) == 2
+        assert ord_p(Fraction(-9, 4), 2) == -2  # p divides the denominator
+        assert ord_p(Fraction(5, 8), 2) == -3
+        assert ord_p(Fraction(5, 8), 7) == 0
+        assert ord_p(-1, 3) == 0
+        assert ord_p(Fraction(0), 5) is INFINITY  # zero, as a Fraction too
+        assert ord_p(Fraction(0, 7), 7) is INFINITY
+        assert type(ord_p(Fraction(-12), 2)) is int
 
     def test_multiplicative(self):
         rng = random.Random(31)
