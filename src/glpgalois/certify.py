@@ -9,10 +9,10 @@ valuation prime, slope, window prime) so a verdict can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import DomainError
 from .newton import NewtonIndexReport, newton_index
 from .polys import Poly
@@ -29,27 +29,46 @@ SINGLE_SLOPE = "single_slope"
 DEGREE_SET_FILTER = "degree_set_filter"
 
 
-@dataclass(frozen=True)
-class GaloisCertificate:
-    verdict: str
-    n: int
-    shift_used: Fraction
-    newton_index: int
-    irreducibility_basis: IrreducibilityBasis
-    witness_prime_q: Optional[int] = None
-    valuation_prime_p: Optional[int] = None
-    slope: Optional[Fraction] = None
+class GaloisCertificate(Record):
+    __slots__ = (
+        "verdict",
+        "n",
+        "shift_used",
+        "newton_index",
+        "irreducibility_basis",
+        "witness_prime_q",
+        "valuation_prime_p",
+        "slope",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        verdict: str,
+        n: int,
+        shift_used: Fraction,
+        newton_index: int,
+        irreducibility_basis: IrreducibilityBasis,
+        witness_prime_q: Optional[int] = None,
+        valuation_prime_p: Optional[int] = None,
+        slope: Optional[Fraction] = None,
+    ) -> None:
+        self._set("verdict", verdict)
+        self._set("n", n)
+        self._set("shift_used", shift_used)
+        self._set("newton_index", newton_index)
+        self._set("irreducibility_basis", irreducibility_basis)
+        self._set("witness_prime_q", witness_prime_q)
+        self._set("valuation_prime_p", valuation_prime_p)
+        self._set("slope", slope)
         # Explicit raises, not asserts, so that `python -O` keeps the check.
-        if self.verdict == CONTAINS_AN:
-            q = self.witness_prime_q
+        if verdict == CONTAINS_AN:
+            q = witness_prime_q
             if q is None or not is_prime(q):
                 raise DomainError(f"window prime {q} is not prime")
-            if not (2 * q > self.n and q < self.n - 2):
-                raise DomainError(f"window prime {q} is outside (n/2, n-2) for n={self.n}")
-            if self.newton_index % q:
-                raise DomainError(f"window prime {q} does not divide the index {self.newton_index}")
+            if not (2 * q > n and q < n - 2):
+                raise DomainError(f"window prime {q} is outside (n/2, n-2) for n={n}")
+            if newton_index % q:
+                raise DomainError(f"window prime {q} does not divide the index {newton_index}")
 
 
 def certificate_to_dict(cert: GaloisCertificate) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -170,6 +169,8 @@ def _cmd_glp_scan(args) -> int:
     tasks = [(n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1)]
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # only a pool needs it; kept out of every other start-up
+
         with multiprocessing.Pool(jobs) as pool:
             for line in pool.imap(_scan_one, tasks):
                 print(line, flush=True)

@@ -12,7 +12,6 @@ Delta = prod_{j=2}^n j^j (a+j)^(j-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
@@ -28,6 +27,7 @@ from .certify import (
     jordan_window_primes,
     lemma_key_check,
 )
+from ._record import Record
 from .errors import DomainError
 from .modp import degree_set_filter, good_primes
 from .newton import NewtonIndexReport, newton_index
@@ -41,20 +41,20 @@ GROUP_INCONCLUSIVE = "inconclusive"
 _EVIDENCE_PRIME_BUDGET = 10
 
 
-@dataclass(frozen=True)
-class GlpParams:
-    n: int
-    lam: int
-    mu: int
+class GlpParams(Record):
+    __slots__ = ("n", "lam", "mu")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, lam: int, mu: int) -> None:
+        self._set("n", n)
+        self._set("lam", lam)
+        self._set("mu", mu)
+        if n < 1:
             raise DomainError("degree must be positive")
-        if self.mu < 1:
+        if mu < 1:
             raise DomainError("mu must be >= 1")
-        if math.gcd(self.lam, self.mu) != 1:
+        if math.gcd(lam, mu) != 1:
             raise DomainError("lam/mu must be in lowest terms")
-        if self.mu == 1 and -self.n <= self.lam <= -1:
+        if mu == 1 and -n <= lam <= -1:
             raise DomainError(
                 "alpha must not be an integer in [-n, -1] (x divides the polynomial)"
             )
@@ -69,22 +69,39 @@ class GlpParams:
         return Fraction(self.lam, self.mu)
 
 
-@dataclass(frozen=True)
-class Classification:
-    group: str
-    discriminant: Fraction
-    discriminant_is_square: bool
-    certificate: GaloisCertificate
-    criterion_prime: Optional[int]
-    ell: Optional[int]
-    params: GlpParams
+class Classification(Record):
+    __slots__ = (
+        "group",
+        "discriminant",
+        "discriminant_is_square",
+        "certificate",
+        "criterion_prime",
+        "ell",
+        "params",
+    )
 
-    def __post_init__(self):
-        if self.group in (GROUP_AN, GROUP_SN):
-            if self.certificate.verdict != CONTAINS_AN:
-                raise DomainError(f"group {self.group} claimed without a contains_An certificate")
-            if self.discriminant_is_square != (self.group == GROUP_AN):
-                raise DomainError(f"group {self.group} contradicts the discriminant's squareness")
+    def __init__(
+        self,
+        group: str,
+        discriminant: Fraction,
+        discriminant_is_square: bool,
+        certificate: GaloisCertificate,
+        criterion_prime: Optional[int],
+        ell: Optional[int],
+        params: GlpParams,
+    ) -> None:
+        self._set("group", group)
+        self._set("discriminant", discriminant)
+        self._set("discriminant_is_square", discriminant_is_square)
+        self._set("certificate", certificate)
+        self._set("criterion_prime", criterion_prime)
+        self._set("ell", ell)
+        self._set("params", params)
+        if group in (GROUP_AN, GROUP_SN):
+            if certificate.verdict != CONTAINS_AN:
+                raise DomainError(f"group {group} claimed without a contains_An certificate")
+            if discriminant_is_square != (group == GROUP_AN):
+                raise DomainError(f"group {group} contradicts the discriminant's squareness")
 
 
 def glp(params: GlpParams) -> Poly:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
 from operator import mul
 from typing import Callable, Iterator, Optional
 
+from ._record import Record
 from .errors import BadPrimeError, DomainError
 from .polys import Poly, discriminant
 from .primes import is_prime, primes
@@ -34,10 +34,13 @@ Residues = list[int]
 _SLOT_CODES = {array(t).itemsize: t for t in "QLIHB"} if sys.byteorder == "little" else {}
 
 
-@dataclass(frozen=True)
-class CycleType:
-    degrees: tuple[int, ...]  # sorted multiset of irreducible-factor degrees
-    prime: int
+class CycleType(Record):
+    __slots__ = ("degrees", "prime")
+
+    def __init__(self, degrees: tuple[int, ...], prime: int) -> None:
+        # degrees: the sorted multiset of irreducible-factor degrees
+        self._set("degrees", degrees)
+        self._set("prime", prime)
 
     @property
     def n(self) -> int:

@@ -10,32 +10,40 @@ the primitive part of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DomainError
 from .polys import Poly, primitive_scale
-from .primes import candidate_primes, is_prime, ord_p
+from .primes import _multiplicity, candidate_primes, is_prime
 
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Segment:
-    slope: Fraction
-    length: int
-    start: Point
-    end: Point
+class Segment(Record):
+    __slots__ = ("slope", "length", "start", "end")
+
+    def __init__(self, slope: Fraction, length: int, start: Point, end: Point) -> None:
+        self._set("slope", slope)
+        self._set("length", length)
+        self._set("start", start)
+        self._set("end", end)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    prime: int
-    points: tuple[Point, ...]
-    vertices: tuple[Point, ...]
-    segments: tuple[Segment, ...]
+class NewtonPolygon(Record):
+    __slots__ = ("prime", "points", "vertices", "segments")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        prime: int,
+        points: tuple[Point, ...],
+        vertices: tuple[Point, ...],
+        segments: tuple[Segment, ...],
+    ) -> None:
+        self._set("prime", prime)
+        self._set("points", points)
+        self._set("vertices", vertices)
+        self._set("segments", segments)
         # Convexity and endpoint invariants; an explicit raise survives `python -O`.
         slopes = self.slopes
         if not (
@@ -51,11 +59,18 @@ class NewtonPolygon:
         return [s.slope for s in self.segments]
 
 
-@dataclass(frozen=True)
-class NewtonIndexReport:
-    index: int
-    witnesses: dict[int, list[Fraction]]  # prime -> slopes with denominator > 1
-    polygons: dict[int, NewtonPolygon]  # every candidate prime -> its polygon
+class NewtonIndexReport(Record):
+    __slots__ = ("index", "witnesses", "polygons")
+
+    def __init__(
+        self,
+        index: int,
+        witnesses: dict[int, list[Fraction]],  # prime -> slopes with denominator > 1
+        polygons: dict[int, NewtonPolygon],  # every candidate prime -> its polygon
+    ) -> None:
+        self._set("index", index)
+        self._set("witnesses", witnesses)
+        self._set("polygons", polygons)
 
     @property
     def single_slope(self) -> bool:
@@ -92,7 +107,12 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
         raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    points = [(j, ord_p(c, p)) for j, c in enumerate(f.coeffs) if c]
+    # ord_p of each nonzero coefficient, with p checked once above
+    points = [
+        (j, _multiplicity(c.numerator, p) - _multiplicity(c.denominator, p))
+        for j, c in enumerate(f.coeffs)
+        if c
+    ]
     vertices = _lower_hull(points)
     segments = tuple(
         Segment(

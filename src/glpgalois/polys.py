@@ -9,18 +9,20 @@ exact; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from ._record import Record
 from .errors import DomainError, ZeroPolynomialError
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Poly:
-    coeffs: tuple[Fraction, ...]
+class Poly(Record):
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        self._set("coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[Rational]) -> "Poly":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from typing import Iterator, Union
 
 from .errors import BadPrimeError, DomainError
@@ -35,7 +35,7 @@ def _sieve() -> bytearray:
 
 
 _SIEVE = _sieve()
-SMALL_PRIMES = [i for i in range(_SIEVE_LIMIT) if _SIEVE[i]]
+SMALL_PRIMES = [2, *compress(range(3, _SIEVE_LIMIT, 2), _SIEVE[3::2])]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import glpgalois
 from glpgalois.cli import main
 
 
@@ -143,6 +147,24 @@ class TestGlpScan:
         lines = [json.loads(line) for line in out.splitlines()]
         assert [d["n"] for d in lines] == [9, 10, 11, 12]
         assert all(d["group"] == "S_n" for d in lines)
+
+    def test_worker_pool_matches_one_process(self):
+        # --jobs 2 runs the cases in a multiprocessing pool; a fresh process,
+        # as a user would start it, so that the pool's import is exercised
+        src = os.path.dirname(os.path.dirname(os.path.abspath(glpgalois.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "glpgalois.cli", "glp-scan", "--n-from", "9",
+                 "--n-to", "14", "--alpha", "0", "--jobs", jobs],
+                env=env, capture_output=True, timeout=120,
+            )
+            for jobs in ("1", "2")
+        ]
+        assert [o.returncode for o in outs] == [0, 0], outs[1].stderr
+        assert outs[0].stdout.count(b"\n") == 6
+        assert outs[1].stdout == outs[0].stdout
+        assert outs[1].stderr == outs[0].stderr == b""
 
     def test_deterministic(self, capsys):
         args = ["glp-scan", "--n-from", "9", "--n-to", "10", "--alpha", "1",

@@ -279,9 +279,14 @@ class TestParity:
 
 
 def test_import_loads_no_numpy():
-    code = "import sys, glpgalois, glpgalois.cli; print('numpy' in sys.modules)"
+    # nor what only some calls need: `dataclasses` (which brings `inspect`)
+    # and `multiprocessing`, which only `glp-scan --jobs N > 1` loads
+    code = (
+        "import sys, glpgalois, glpgalois.cli; "
+        "print(sorted({'numpy', 'dataclasses', 'multiprocessing', 'inspect'} & set(sys.modules)))"
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(glpgalois.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout == "False\n", out.stderr
+    assert out.stdout == "[]\n", out.stderr

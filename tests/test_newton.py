@@ -1,12 +1,12 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from glpgalois.errors import DomainError
 from glpgalois.newton import (
+    NewtonPolygon,
     newton_index,
     newton_polygon,
     single_slope_irreducibility_evidence,
@@ -37,9 +37,9 @@ class TestPolygon:
     def test_hull_invariants_raise(self):
         np = newton_polygon(parse_poly("6,18,9,1"), 3)
         with pytest.raises(DomainError):
-            replace(np, vertices=((0, 0), (3, 0)))
+            NewtonPolygon(np.prime, np.points, ((0, 0), (3, 0)), np.segments)
         with pytest.raises(DomainError):
-            replace(np, segments=np.segments * 2)
+            NewtonPolygon(np.prime, np.points, np.vertices, np.segments * 2)
 
     def test_cubic_example(self):
         np = newton_polygon(parse_poly("6,18,9,1"), 3)

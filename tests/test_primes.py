@@ -7,6 +7,7 @@ from glpgalois.errors import BadPrimeError, DomainError
 from glpgalois.polys import parse_poly, poly_from_coeffs
 from glpgalois.primes import (
     INFINITY,
+    SMALL_PRIMES,
     candidate_primes,
     is_prime,
     ord_p,
@@ -28,6 +29,12 @@ class TestIsPrime:
     def test_trial_division_oracle(self):
         for m in range(2000):
             assert is_prime(m) == trial_division_is_prime(m), m
+
+    def test_small_primes_table(self):
+        assert len(SMALL_PRIMES) == 6542
+        assert SMALL_PRIMES[:6] == [2, 3, 5, 7, 11, 13] and SMALL_PRIMES[-1] == 65521
+        assert SMALL_PRIMES == [m for m in range(1 << 16) if trial_division_is_prime(m)]
+        assert all(is_prime(p) for p in SMALL_PRIMES)
 
     def test_above_sieve_limit(self):
         assert is_prime(65537)
