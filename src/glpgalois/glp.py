@@ -29,10 +29,10 @@ from .certify import (
 )
 from ._record import Record
 from .errors import DomainError
-from .modp import degree_set_filter, good_primes
+from .modp import degree_set_filter
 from .newton import NewtonIndexReport, newton_index
 from .polys import Poly
-from .primes import primes_in_ap_interval
+from .primes import primes, primes_in_ap_interval
 
 GROUP_AN = "A_n"
 GROUP_SN = "S_n"
@@ -182,14 +182,14 @@ def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
 
 
 def _irreducibility_evidence(
-    f: Poly, report: NewtonIndexReport, disc: Fraction, assume: bool
+    f: Poly, report: NewtonIndexReport, disc: int, assume: bool
 ) -> Optional[str]:
-    """The irreducibility basis of f, whose discriminant disc is known."""
+    """The irreducibility basis of the monic integral f with discriminant disc.
+    For such an f, p is good exactly when p does not divide disc."""
     if report.single_slope:
         return SINGLE_SLOPE
-    sample = list(islice(good_primes(f, disc=disc), _EVIDENCE_PRIME_BUDGET))
-    surviving = degree_set_filter(f, sample, stop_when_irreducible=True)
-    if surviving == {0, f.degree}:
+    sample = list(islice((p for p in primes() if disc % p), _EVIDENCE_PRIME_BUDGET))
+    if degree_set_filter(f, sample) == {0, f.degree}:
         return DEGREE_SET_FILTER
     return ASSUMED if assume else None
 
@@ -203,7 +203,7 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     delta = schur_discriminant(n, params.alpha)
     square = is_rational_square(delta)
     report = newton_index(f)
-    disc = params.mu ** (n * (n - 1)) * delta  # = normalized_discriminant(params), disc(f)
+    disc = int(params.mu ** (n * (n - 1)) * delta)  # = normalized_discriminant(params), disc(f)
     basis = _irreducibility_evidence(f, report, disc, assume_irreducible)
 
     crit = find_criterion_prime(params)

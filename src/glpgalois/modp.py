@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import reduce
 from math import isqrt
 from operator import mul
@@ -24,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from ._record import Record
 from .errors import BadPrimeError, DomainError
-from .polys import Poly, discriminant
+from .polys import Poly
 from .primes import is_prime, primes
 
 Residues = list[int]
@@ -51,32 +50,17 @@ class CycleType(Record):
         return (self.n - len(self.degrees)) % 2 == 0
 
 
-def _degree_drops(f: Poly, p: int) -> bool:
-    """Checks the request; True iff p divides a denominator or the leading
-    numerator, so that f has no reduction of full degree mod p."""
-    if f.degree < 1:
-        raise DomainError("requires degree >= 1")
-    if not is_prime(p):
-        raise BadPrimeError(f"{p} is not prime")
-    return f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs)
+def is_good_prime(f: Poly, p: int) -> bool:
+    """True iff f keeps its degree mod p and its reduction is square-free,
+    i.e. iff p divides neither disc(f) nor the leading coefficient nor any
+    coefficient denominator."""
+    return _good_reduction(f, p) is not None
 
 
-def is_good_prime(f: Poly, p: int, disc: Optional[Fraction] = None) -> bool:
-    """True iff p divides neither disc(f) nor the leading coefficient nor any
-    coefficient denominator.  `disc` may be supplied when known analytically."""
-    if _degree_drops(f, p):
-        return False
-    if disc is None:
-        disc = discriminant(f)
-    return disc.numerator % p != 0 and disc.denominator % p != 0
-
-
-def good_primes(f: Poly, disc: Optional[Fraction] = None) -> Iterator[int]:
+def good_primes(f: Poly) -> Iterator[int]:
     """The good primes of f, ascending."""
-    if disc is None:
-        disc = discriminant(f)
     for p in primes():
-        if is_good_prime(f, p, disc=disc):
+        if is_good_prime(f, p):
             yield p
 
 
@@ -175,18 +159,20 @@ def _gcd(a: Residues, b: Residues, p: int) -> Residues:
     return _monic(a, p) if a else a
 
 
-def _good_reduction(f: Poly, p: int) -> Residues:
-    """The monic reduction fbar of f mod p.  p is good iff f keeps its degree
-    mod p and gcd(fbar, fbar') = 1, i.e. iff p does not divide disc(f)."""
-    bad = BadPrimeError(f"{p} is not a good prime for this polynomial")
-    if _degree_drops(f, p):
-        raise bad
+def _good_reduction(f: Poly, p: int) -> Optional[Residues]:
+    """The monic reduction fbar of f mod p, or None when p is bad: when f
+    drops degree mod p or gcd(fbar, fbar') != 1, i.e. when p divides a
+    coefficient denominator, the leading numerator or disc(f)."""
+    if f.degree < 1:
+        raise DomainError("requires degree >= 1")
+    if not is_prime(p):
+        raise BadPrimeError(f"{p} is not prime")
+    if f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs):
+        return None
     inv = f.leading.denominator * pow(f.leading.numerator, -1, p)
     fbar = [c.numerator * pow(c.denominator, -1, p) * inv % p for c in f.coeffs]
     deriv = _trim([k * c % p for k, c in enumerate(fbar)][1:])
-    if len(_gcd(fbar, deriv, p)) != 1:
-        raise bad
-    return fbar
+    return fbar if len(_gcd(fbar, deriv, p)) == 1 else None
 
 
 def _exact_quotient(a: Residues, b: Residues, p: int) -> Residues:
@@ -234,6 +220,8 @@ def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
 def factor_degrees(f: Poly, p: int) -> CycleType:
     """Degree multiset of the irreducible factors of f mod a good prime p."""
     fbar = _good_reduction(f, p)
+    if fbar is None:
+        raise BadPrimeError(f"{p} is not a good prime for this polynomial")
     degrees, blocks = _ddf_degrees(fbar, p)
     # Reconstruction: the blocks multiply back to fbar, their degrees to n.
     prod = [1]
@@ -252,17 +240,16 @@ def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
     return frozenset(i for i in range(total + 1) if mask >> i & 1)
 
 
-def degree_set_filter(
-    f: Poly, primes_list: list[int], stop_when_irreducible: bool = False
-) -> set[int]:
+def degree_set_filter(f: Poly, primes_list: list[int]) -> set[int]:
     """Intersect the subset-sum closures of the factor-degree multisets over
     the given good primes; a superset of the degrees of rational factors of f.
-    {0, n} always survives; an output of exactly {0, n} proves irreducibility."""
+    {0, n} always survives, so the primes after it reaches {0, n} are not
+    factored; an output of exactly {0, n} proves irreducibility."""
     n = f.degree
     out = frozenset(range(n + 1))
     for p in primes_list:
         out &= subset_sum_closure(factor_degrees(f, p).degrees)
-        if stop_when_irreducible and out == {0, n}:
+        if out == {0, n}:
             break
     return set(out)
 

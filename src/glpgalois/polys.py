@@ -49,23 +49,6 @@ class Poly(Record):
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __call__(self, x: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs([self[j] + other[j] for j in range(n)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.from_coeffs([self[j] - other[j] for j in range(n)])
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
         if not isinstance(other, Poly):
             return Poly.from_coeffs([c * Fraction(other) for c in self.coeffs])

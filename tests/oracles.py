@@ -3,13 +3,15 @@
 These deliberately avoid the library's own code paths: determinants are
 computed by rational Gaussian elimination instead of Bareiss, hulls by an
 all-pairs gift wrap instead of a monotone chain, primality by trial division,
-and mod-p factor shapes by exhaustive root search or trial division.
+and mod-p factor shapes by exhaustive root search or trial division.  Good
+primes are decided from the resultant-based discriminant, where the library
+decides them from the reduction mod p.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from glpgalois.polys import Poly
+from glpgalois.polys import Poly, discriminant
 
 
 def gauss_det(matrix):
@@ -66,6 +68,14 @@ def brute_lower_hull(points):
         candidates = [w for w in points if w[0] > v[0] and _on_or_above(points, v, w)]
         hull.append(max(candidates))  # farthest support point: skips collinear interiors
     return hull
+
+
+def is_good_prime_by_discriminant(f: Poly, p: int) -> bool:
+    """p is good for f iff it divides neither the leading numerator, nor any
+    coefficient denominator, nor disc(f)."""
+    if f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs):
+        return False
+    return discriminant(f).numerator % p != 0
 
 
 def trial_division_is_prime(m: int) -> bool:

@@ -23,7 +23,6 @@ from glpgalois.glp import (
     glp_normalized,
     is_rational_square,
     normalized_coefficient_products,
-    normalized_discriminant,
     schur_discriminant,
 )
 from glpgalois.modp import factor_degrees, good_primes, parity_evidence, ALL_EVEN
@@ -209,8 +208,7 @@ def test_criterion_8_modp_engine(schur_classifications):
             continue
         params = GlpParams(n, alpha, 1)
         fpoly = glp_normalized(params)
-        disc = normalized_discriminant(params)
-        ps = list(islice(good_primes(fpoly, disc=disc), 50))
+        ps = list(islice(good_primes(fpoly), 50))
         samples = [factor_degrees(fpoly, p) for p in ps]
         assert parity_evidence(samples) == ALL_EVEN, (n, alpha)
         an_checked += 1

@@ -1,6 +1,8 @@
+import importlib
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -28,8 +30,11 @@ from glpgalois.glp import (
     normalized_discriminant,
     schur_discriminant,
 )
-from glpgalois.newton import newton_polygon
+from glpgalois.modp import good_primes
+from glpgalois.newton import NewtonIndexReport, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
+
+glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
 
 
 class TestParams:
@@ -190,6 +195,25 @@ class TestClassify:
         assert c.group == GROUP_INCONCLUSIVE and c.certificate.irreducibility_basis is None
         c = classify(params, assume_irreducible=True)
         assert c.group == GROUP_SN and c.certificate.irreducibility_basis == ASSUMED
+
+    def test_evidence_primes_are_the_first_good_primes(self, monkeypatch):
+        # the evidence skips the primes dividing the known disc(f) instead of
+        # testing the reduction mod p; for the monic integral f they agree
+        samples = []
+
+        def record(f, primes_list):
+            samples.append(primes_list)
+            return set()
+
+        monkeypatch.setattr(glp_module, "degree_set_filter", record)
+        no_single_slope = NewtonIndexReport(index=1, witnesses={}, polygons={})
+        for n in range(2, 41):
+            for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2)):
+                params = GlpParams.from_alpha(n, alpha)
+                f = glp_normalized(params)
+                disc = int(normalized_discriminant(params))
+                glp_module._irreducibility_evidence(f, no_single_slope, disc, False)
+                assert samples.pop() == list(islice(good_primes(f), 10)), (n, alpha)
 
     def test_criterion_prime_is_preferred_window_prime(self):
         # certify_large_galois alone tries the window primes largest first

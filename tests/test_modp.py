@@ -8,7 +8,9 @@ from itertools import islice
 import pytest
 
 import glpgalois
+from glpgalois import cli, polys
 from glpgalois.errors import BadPrimeError, DomainError
+from glpgalois.glp import GlpParams, classify
 from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
@@ -26,7 +28,12 @@ from glpgalois.modp import (
 )
 from glpgalois.polys import parse_poly, poly_from_coeffs
 
-from oracles import is_irreducible_mod_p, low_degree_factor_degrees, trial_division_is_prime
+from oracles import (
+    is_good_prime_by_discriminant,
+    is_irreducible_mod_p,
+    low_degree_factor_degrees,
+    trial_division_is_prime,
+)
 
 
 class TestGoodPrime:
@@ -42,6 +49,20 @@ class TestGoodPrime:
 
     def test_good_primes_stream(self):
         assert list(islice(good_primes(parse_poly("1,0,1")), 4)) == [3, 5, 7, 11]
+
+    def test_frobenius_path_computes_no_resultant(self, monkeypatch, capsys):
+        def no_resultant(f, g):
+            raise AssertionError("resultant called")
+
+        monkeypatch.setattr(polys, "resultant", no_resultant)
+        f = parse_poly("3,-1,0,2,0,1")  # disc 384005 = 5 * 76801
+        assert list(islice(good_primes(f), 4)) == [2, 3, 7, 11]
+        assert is_good_prime(f, 2) and not is_good_prime(f, 5)
+        assert factor_degrees(f, 3).degrees == (1, 4)
+        # n = 9, alpha = 5/3 is proved irreducible by the mod-p degree filter
+        assert classify(GlpParams(9, 5, 3)).certificate.irreducibility_basis == "degree_set_filter"
+        assert cli.main(["frobenius", "--poly", "1,0,1", "--frobenius-samples", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict=contains-odd-permutation"
 
 
 class TestFactorDegrees:
@@ -91,7 +112,8 @@ class TestFactorDegrees:
             done += 1
 
     def test_good_prime_iff_factor_degrees_returns(self):
-        # goodness is decided by the reduction itself and must agree with p | disc(f)
+        # two independent definitions of a good prime: the reduction mod p,
+        # which is_good_prime and factor_degrees share, and p | disc(f)
         rng = random.Random(71)
         primes = [p for p in range(2, 1010) if trial_division_is_prime(p)]
         for i in range(250):
@@ -104,13 +126,15 @@ class TestFactorDegrees:
             tried = rng.sample(primes[:10], 3) + rng.sample(primes, 2) + [small]
             tried += [q for q in primes[:10] if deg % q == 0]
             for p in tried:
+                good = is_good_prime_by_discriminant(f, p)
+                assert is_good_prime(f, p) == good, (f, p)
                 try:
                     ct = factor_degrees(f, p)
                 except BadPrimeError as e:
-                    assert not is_good_prime(f, p), (f, p)
+                    assert not good, (f, p)
                     assert str(e) == f"{p} is not a good prime for this polynomial"
                 else:
-                    assert is_good_prime(f, p), (f, p)
+                    assert good, (f, p)
                     assert sum(ct.degrees) == deg
 
     def test_primes_above_2_to_the_25(self):

