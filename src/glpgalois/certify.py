@@ -102,12 +102,12 @@ def lemma_key_check(n: int, c: Sequence[Union[int, Fraction]], p: int) -> bool:
         raise DomainError("need coefficients c_0..c_n")
     if not (2 * p > n and p < n - 2):
         return False
-    vals = [ord_p(cj, p) for cj in c]
-    if any(v < 0 for v in vals):
+    vals = {j: ord_p(cj, p) for j, cj in enumerate(c) if cj}  # a zero c_j lies above every line
+    if any(v < 0 for v in vals.values()):
         return False
-    if any(vals[j] != 1 for j in range(1, n - p + 1)):
+    if any(vals.get(j) != 1 for j in range(1, n - p + 1)):
         return False
-    return vals[p] == 0
+    return vals.get(p) == 0
 
 
 def certify_large_galois(

@@ -10,20 +10,28 @@ bytes are packed and unpacked in bulk through `array`; wider ones (large p)
 byte by byte.  Reduction mod fbar adds multiples of a packed table of x^k mod
 fbar; h -> h^p adds multiples of a packed Frobenius table of x^(ip) mod fbar.
 The h - x of a run of isqrt(n) consecutive d meet f in one gcd.  Whether p is
-good is decided once, by the reduction itself, and p is not bounded."""
+good is decided once, by the reduction itself, and p is not bounded.
+
+Euclid (gcd and division) also runs on packed operands.  Eliminating the
+leading slot of A adds t * (B << shift) with t = -lc(A) / lc(B) mod p, one
+whole-integer operation per quotient coefficient; slots only grow and never
+borrow.  After each remainder one slot-wise Barrett step,
+R -= p * ((R * floor(2^k / p) >> k) & qmask), brings every slot below 2p
+without unpacking.  Only the final gcd, a remainder and a quotient are
+unpacked."""
 
 from __future__ import annotations
 
 import sys
 from array import array
 from functools import reduce
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Callable, Iterator, Optional
 
 from ._record import Record
 from .errors import BadPrimeError, DomainError
-from .polys import Poly
+from .polys import Poly, primitive_scale
 from .primes import is_prime, primes
 
 Residues = list[int]
@@ -58,10 +66,33 @@ def is_good_prime(f: Poly, p: int) -> bool:
 
 
 def good_primes(f: Poly) -> Iterator[int]:
-    """The good primes of f, ascending."""
+    """The good primes of f, ascending.  Raises DomainError once the bad
+    primes met multiply past the bound of _bad_prime_bound, which proves that
+    f is not square-free: such an f has no good prime at all."""
+    bad, bound = 1, None
     for p in primes():
         if is_good_prime(f, p):
             yield p
+            continue
+        bad *= p
+        bound = bound or _bad_prime_bound(f)
+        if bad > bound:
+            raise DomainError("polynomial is not square-free, so no prime is good")
+
+
+def _bad_prime_bound(f: Poly) -> int:
+    """An integer at least the product of the bad primes of a square-free f.
+    Write f = c g with g primitive of degree n.  A prime dividing neither a
+    coefficient denominator nor num(lc f) leaves c a unit mod p and keeps
+    deg g, so it is bad only when gbar is not square-free, i.e. when p |
+    disc(g), which is nonzero for a square-free f.  Every bad prime therefore
+    divides lcm(denominators) * |num(lc f)| * lc(g) * |disc(g)|, and by
+    Hadamard on the Sylvester matrix of g and g' (||g'|| <= n ||g||),
+    |disc(g)| <= n^n * (sum g_i^2)^n."""
+    g, _ = primitive_scale(f)
+    n, lc = g.degree, int(g.leading)
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return den * abs(f.leading.numerator) * lc * n**n * sum(int(c) ** 2 for c in g.coeffs) ** n
 
 
 def _trim(a: Residues) -> Residues:
@@ -135,16 +166,42 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     return mulmod, frobenius
 
 
-def _divmod(a: Residues, b: Residues, p: int) -> tuple[Residues, Residues]:
-    """Schoolbook quotient and remainder of a by a monic b."""
-    a = a[:]
-    n = len(b) - 1
-    q = [0] * (len(a) - n)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = q[i - n] = a[i]
+def _euclid_slots(n: int, p: int) -> tuple[int, int]:
+    """Slot bytes w and Barrett width k for packed Euclid on operands of at
+    most n coefficients mod p.  A slot starts below 2p and gains at most n
+    multiples (below p) of a divisor slot (below 2p), so it stays below
+    4np^2 < 2^k; a slot times floor(2^k / p) then fits 2k - bitlen(p) + 1
+    bits, which the slot holds, so no slot ever carries."""
+    k = (4 * n * p * p).bit_length()
+    return _slot_bytes(1 << 2 * k - p.bit_length()), k
+
+
+def _eliminate(A: int, da: int, B: int, db: int, p: int, W: int, quotient: Residues) -> int:
+    """Reduce the packed A (degree da) below degree db by the packed B (degree
+    db, slots W bits wide), slot i from the top, writing the quotient
+    coefficients into quotient.  Eliminating slot i adds t * (B << (i - db) W)
+    with t = -c / lc(B) mod p: slots only grow and never borrow.  Slots at and
+    above db end as multiples of p."""
+    M = (1 << W) - 1
+    ninv = p - pow((B >> db * W) % p, -1, p)
+    for i in range(da, db - 1, -1):
+        c = (A >> i * W & M) % p
         if c:
-            a[i - n : i] = [(x - c * y) % p for x, y in zip(a[i - n : i], b)]
-    return q, _trim(a[:n])
+            t = c * ninv % p
+            A += t * B << (i - db) * W
+            quotient[i - db] = p - t
+    return A
+
+
+def _divmod(a: Residues, b: Residues, p: int) -> tuple[Residues, Residues]:
+    """Quotient and remainder of a by b, on Kronecker-packed operands."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return [], a[:]
+    q = [0] * (da - db + 1)
+    w, _ = _euclid_slots(da + 1, p)
+    A = _eliminate(_pack(a, w), da, _pack(b, w), db, p, 8 * w, q)
+    return q, _trim(_unpack(A & (1 << 8 * w * db) - 1, w, db, p))
 
 
 def _monic(a: Residues, p: int) -> Residues:
@@ -153,10 +210,32 @@ def _monic(a: Residues, p: int) -> Residues:
 
 
 def _gcd(a: Residues, b: Residues, p: int) -> Residues:
-    while b:
-        b = _monic(b, p)
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p) if a else a
+    """The monic gcd of a and b (or [] when both are zero) by packed Euclid.
+    Each remainder gets one slot-wise Barrett step, R -= p * floor(R m / 2^k)
+    per slot with m = floor(2^k / p), which brings every slot below 2p with
+    whole-integer operations; its slots above the true degree (0 or p) are
+    masked off before it becomes the next divisor.  Only the last divisor is
+    unpacked and made monic."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _monic(a, p) if a else a
+    n = len(a)
+    w, k = _euclid_slots(n, p)
+    W = 8 * w
+    M, m = (1 << W) - 1, (1 << k) // p
+    qmask = ((1 << W * n) - 1) // M * ((1 << W - k) - 1)  # 2^(W-k) - 1 in every slot
+    A, da, B, db = _pack(a, w), n - 1, _pack(b, w), len(b) - 1
+    while db:
+        R = _eliminate(A, da, B, db, p, W, [0] * (da - db + 1)) & (1 << db * W) - 1
+        R -= p * (R * m >> k & qmask)
+        j = db - 1
+        while j >= 0 and not (R >> j * W & M) % p:
+            j -= 1
+        if j < 0:
+            break
+        A, da, B, db = B, db, R & (1 << (j + 1) * W) - 1, j
+    return _monic(_unpack(B, w, db + 1, p), p)
 
 
 def _good_reduction(f: Poly, p: int) -> Optional[Residues]:

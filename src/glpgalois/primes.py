@@ -17,8 +17,6 @@ from typing import Iterator, Union
 from .errors import BadPrimeError, DomainError
 from .polys import Poly
 
-INFINITY = math.inf  # ord_p(0); never enters any exact computation
-
 _SIEVE_LIMIT = 1 << 16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -85,13 +83,13 @@ def _multiplicity(m: int, p: int) -> int:
     return v
 
 
-def ord_p(q: Union[int, Fraction], p: int) -> Union[int, float]:
-    """The p-adic valuation of an int or a Fraction; ord_p(0) is INFINITY."""
+def ord_p(q: Union[int, Fraction], p: int) -> int:
+    """The p-adic valuation of a nonzero int or Fraction."""
     if not is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
     num = q.numerator
     if num == 0:
-        return INFINITY
+        raise DomainError("0 has no finite valuation")
     return _multiplicity(num, p) - _multiplicity(q.denominator, p)
 
 

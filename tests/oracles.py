@@ -131,3 +131,32 @@ def is_irreducible_mod_p(int_coeffs, p):
     assert coeffs[-1] == 1
     n = len(coeffs) - 1
     return not any(_has_monic_divisor_mod_p(coeffs, e, p) for e in range(1, n // 2 + 1))
+
+
+def schoolbook_divmod(a, b, p):
+    """Quotient and remainder of a by a monic b over F_p (residue lists, low
+    degree first), one coefficient row at a time."""
+    a = a[:]
+    n = len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = q[i - n] = a[i]
+        if c:
+            a[i - n : i] = [(x - c * y) % p for x, y in zip(a[i - n : i], b)]
+    rest = a[:n]
+    while rest and not rest[-1]:
+        rest.pop()
+    return q, rest
+
+
+def _schoolbook_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def schoolbook_gcd(a, b, p):
+    """The monic gcd over F_p by Euclid with a monic divisor at every step."""
+    while b:
+        b = _schoolbook_monic(b, p)
+        a, b = b, schoolbook_divmod(a, b, p)[1]
+    return _schoolbook_monic(a, p) if a else a

@@ -43,6 +43,12 @@ class TestLemmaKeyCheck:
         assert lemma_key_check(9, c, 5)
         assert not lemma_key_check(9, c, 7)  # window boundary: 7 >= n - 2
 
+    def test_zero_coefficient_lies_above_every_line(self):
+        # a zero c_j meets the "ord_p >= 0" condition but neither "= 1" nor "= 0"
+        c = [math.factorial(9) // math.factorial(j) for j in range(10)]
+        for j, expected in ((0, True), (2, False), (5, False), (7, True)):
+            assert lemma_key_check(9, c[:j] + [0] + c[j + 1 :], 5) is expected, j
+
     def test_glp20_half_integer(self):
         c = [math.prod(2 * k + 1 for k in range(j + 1, 21)) for j in range(21)]
         assert lemma_key_check(20, c, 17)

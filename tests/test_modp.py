@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -15,9 +16,14 @@ from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
     CycleType,
+    _divmod,
+    _euclid_slots,
+    _gcd,
+    _monic,
     _pack,
     _product,
     _slot_bytes,
+    _trim,
     _unpack,
     degree_set_filter,
     factor_degrees,
@@ -32,6 +38,8 @@ from oracles import (
     is_good_prime_by_discriminant,
     is_irreducible_mod_p,
     low_degree_factor_degrees,
+    schoolbook_divmod,
+    schoolbook_gcd,
     trial_division_is_prime,
 )
 
@@ -49,6 +57,23 @@ class TestGoodPrime:
 
     def test_good_primes_stream(self):
         assert list(islice(good_primes(parse_poly("1,0,1")), 4)) == [3, 5, 7, 11]
+
+    def test_not_square_free_ends(self, capsys):
+        # every prime is bad for (x + 1)^2; the search stops once the bad
+        # primes multiply past the bound a square-free f would obey
+        start = time.perf_counter()
+        assert cli.main(["frobenius", "--poly", "1,2,1"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(DomainError, match="not square-free"):
+            next(good_primes(parse_poly("1,2,1") * parse_poly("3,0,1/2")))
+
+    def test_square_free_with_many_bad_primes(self):
+        # every prime below 31 merges two of the roots 0..30
+        f = poly_from_coeffs([1])
+        for i in range(31):
+            f = f * poly_from_coeffs([-i, 1])
+        assert list(islice(good_primes(f), 3)) == [31, 37, 41]
 
     def test_frobenius_path_computes_no_resultant(self, monkeypatch, capsys):
         def no_resultant(f, g):
@@ -271,6 +296,77 @@ class TestSlotWidths:
         quadratic = (1, 1) if p % 4 == 1 else (2,)
         assert factor_degrees(f, p).degrees == tuple(sorted((1,) * k + quadratic))
         assert factor_degrees(parse_poly("1,0,1"), p).degrees == quadratic
+
+
+EUCLID_PRIMES = (2, 3, 5, 7, 61, 65537, 2**31 - 1, 2**61 - 1)
+
+
+class TestPackedEuclid:
+    # _gcd and _divmod run on Kronecker-packed operands; the schoolbook
+    # versions in oracles.py work coefficient row by coefficient row
+
+    @staticmethod
+    def _random(rng, p, degree, monic=False):
+        a = [rng.randrange(p) for _ in range(degree)]
+        return a + [1 if monic else rng.randrange(1, p)]
+
+    def test_gcd_matches_schoolbook(self):
+        rng = random.Random(89)
+        for i in range(320):
+            p = EUCLID_PRIMES[i % len(EUCLID_PRIMES)]
+            a = self._random(rng, p, rng.randint(0, 80))
+            b = self._random(rng, p, rng.randint(0, 80))  # often of higher degree than a
+            if i % 2:  # a planted common factor: the remainders vanish mid-sequence
+                g = self._random(rng, p, rng.randint(1, 12))
+                a, b = _product(a, g, p), _product(b, g, p)
+            expected = schoolbook_gcd(a, b, p)
+            assert _gcd(a, b, p) == expected == _gcd(b, a, p), (p, a, b)
+            if i % 2:
+                assert len(expected) > 1
+
+    def test_divmod_matches_schoolbook(self):
+        rng = random.Random(97)
+        for i in range(320):
+            p = EUCLID_PRIMES[i % len(EUCLID_PRIMES)]
+            a = self._random(rng, p, rng.randint(0, 80))
+            b = self._random(rng, p, rng.randint(0, 80), monic=i % 2 == 0)
+            q, r = _divmod(a, b, p)
+            if b[-1] == 1:
+                assert (q, r) == schoolbook_divmod(a, b, p), (p, a, b)
+            # a = q b + r with deg r < deg b, for any nonzero leading coefficient
+            assert len(r) < len(b) and (not r or r[-1])
+            qb = _product(q, b, p) if q else []
+            total = [(x + y) % p for x, y in zip(qb + [0] * len(a), r + [0] * len(a))]
+            assert _trim(total) == a, (p, a, b)
+
+    def test_exact_division_and_full_slots(self):
+        # every coefficient p - 1 makes each row update as large as it gets
+        for p in EUCLID_PRIMES:
+            for da, db in ((80, 40), (80, 1), (40, 39), (7, 7)):
+                a, b = [p - 1] * (da + 1), [p - 1] * (db + 1)
+                assert _divmod(a, b, p)[1] == schoolbook_divmod(a, _monic(b, p), p)[1]
+                assert _gcd(a, b, p) == schoolbook_gcd(a, b, p)
+                ab = _product(a, b, p)
+                assert _divmod(ab, b, p) == (a, [])
+                assert _gcd(ab, a, p) == _monic(a, p)
+
+    def test_degenerate_operands(self):
+        for p in EUCLID_PRIMES:
+            assert _gcd([], [], p) == []
+            assert _gcd([], [3 % p, 1], p) == _gcd([3 % p, 1], [], p) == [3 % p, 1]
+            assert _gcd([0, 1, 1], [p - 1], p) == [1]
+            assert _divmod([1, 1], [0, 0, 1], p) == ([], [1, 1])
+            assert _divmod([0, 0, 1], [p - 1], p) == ([0, 0, p - 1], [])
+
+    def test_slots_never_carry(self):
+        # a slot stays below 4np^2 < 2^k, and a slot times floor(2^k / p),
+        # the Barrett product, still fits the slot
+        for p in EUCLID_PRIMES + (3, 101, 1009, 4294967357):
+            for n in (1, 2, 9, 60, 81, 1000):
+                w, k = _euclid_slots(n, p)
+                assert 4 * n * p * p < 1 << k
+                assert ((1 << k) - 1) * ((1 << k) // p) < 1 << 8 * w
+                assert w in (1, 2, 4, 8) or w > 8
 
 
 class TestDegreeSetFilter:
