@@ -17,6 +17,7 @@ from .glp import (
     classify,
     find_criterion_prime,
     glp,
+    glp_newton_index,
     glp_normalized,
     is_rational_square,
     normalized_discriminant,
@@ -70,6 +71,7 @@ __all__ = [
     "factor_degrees",
     "find_criterion_prime",
     "glp",
+    "glp_newton_index",
     "glp_normalized",
     "good_primes",
     "is_good_prime",

@@ -93,6 +93,8 @@ def _cmd_frobenius(args) -> int:
     if args.prime is not None:
         samples = [factor_degrees(f, args.prime)]
     else:
+        if args.frobenius_samples < 1:
+            raise DomainError("need at least one sample")
         ps = list(islice(good_primes(f), args.frobenius_samples))
         samples = [factor_degrees(f, p) for p in ps]
     verdict = parity_evidence(samples)

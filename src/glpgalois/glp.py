@@ -3,17 +3,19 @@
 L_n^(a)(x) = sum_j binom(n+a, n-j) (-x)^j / j! for rational a that is not an
 integer in [-n, -1], where x divides it.  The classifier works with the monic
 integral normalization f(x) = mu^n n! L_n^(lam/mu)(-x/mu) = sum_j binom(n,j)
-c_j x^j with c_j = prod_{k=j+1}^n (k*mu + lam), hunts for a criterion prime in
-the Jordan window via the coefficient-valuation shortcut, and resolves A_n vs
-S_n by the squareness of the discriminant product
-Delta = prod_{j=2}^n j^j (a+j)^(j-1).
+c_j x^j with c_j = prod_{k=j+1}^n (k*mu + lam), reads its p-adic Newton
+polygons off the n small factors k*mu + lam (never building the c_j), hunts
+for a criterion prime in the Jordan window via the coefficient-valuation
+shortcut, and resolves A_n vs S_n by the squareness of the discriminant
+product Delta = prod_{j=2}^n j^j (a+j)^(j-1).  The coefficients of f are
+built only when the mod-p degree-set filter needs f itself.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Optional, Union
 
 from .certify import (
@@ -30,9 +32,9 @@ from .certify import (
 from ._record import Record
 from .errors import DomainError
 from .modp import degree_set_filter
-from .newton import NewtonIndexReport, newton_index
+from .newton import NewtonIndexReport, index_report, polygon_from_points
 from .polys import Poly
-from .primes import primes, primes_in_ap_interval
+from .primes import _multiplicity, prime_factors, primes, primes_in_ap_interval
 
 GROUP_AN = "A_n"
 GROUP_SN = "S_n"
@@ -133,10 +135,40 @@ def glp_normalized(params: GlpParams) -> Poly:
     return Poly.from_coeffs([math.comb(n, j) * c[j] for j in range(n + 1)])
 
 
+def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
+    """newton_index(glp_normalized(params)), polygon for polygon, from the n
+    small factors k*mu + lam instead of the coefficients binom(n,j) c_j.
+
+    The candidate primes are the primes of c_0 = prod_k (k*mu + lam).  At p
+    the height at j is ord_p(n!) - ord_p(j!) - ord_p((n-j)!) (Legendre) plus
+    the suffix sum of ord_p(k*mu + lam) over k > j."""
+    n, lam, mu = params.n, params.lam, params.mu
+    drops: dict[int, list[int]] = {}  # p -> ord_p(k*mu + lam) at index k - 1
+    for k in range(1, n + 1):
+        factor = k * mu + lam
+        for p in prime_factors(factor):
+            drops.setdefault(p, [0] * (n + 1))[k - 1] = _multiplicity(factor, p)
+    polygons = {}
+    for p in sorted(drops):
+        heights = list(accumulate(reversed(drops[p])))
+        heights.reverse()
+        if p <= n:
+            legendre = [0] * (n + 1)
+            for m in range(p, n + 1, p):
+                legendre[m] = _multiplicity(m, p)
+            fact = list(accumulate(legendre))  # ord_p(m!)
+            top = fact[n]
+            heights = [h + top - a - b for h, a, b in zip(heights, fact, reversed(fact))]
+        polygons[p] = polygon_from_points(p, list(enumerate(heights)))
+    return index_report(polygons)
+
+
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
     """Delta = prod_{j=2}^n j^j (alpha+j)^(j-1); defined as 1 for n = 1.  With
     alpha = lam/mu each alpha + j is (j*mu + lam)/mu, so Delta is one integer
     product over mu^(n(n-1)/2)."""
+    if n < 1:
+        raise DomainError("degree must be positive")
     a = Fraction(alpha)
     lam, mu = a.numerator, a.denominator
     num = 1
@@ -182,14 +214,18 @@ def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
 
 
 def _irreducibility_evidence(
-    f: Poly, report: NewtonIndexReport, disc: int, assume: bool
+    params: GlpParams, report: NewtonIndexReport, delta: Fraction, assume: bool
 ) -> Optional[str]:
-    """The irreducibility basis of the monic integral f with discriminant disc.
-    For such an f, p is good exactly when p does not divide disc."""
+    """The irreducibility basis of glp_normalized(params), whose polygons are
+    in report and whose discriminant is mu^(n(n-1)) * delta.  For this monic
+    integral f, p is good exactly when p does not divide the discriminant."""
     if report.single_slope:
         return SINGLE_SLOPE
+    n = params.n
+    f = glp_normalized(params)
+    disc = int(params.mu ** (n * (n - 1)) * delta)  # = normalized_discriminant(params)
     sample = list(islice((p for p in primes() if disc % p), _EVIDENCE_PRIME_BUDGET))
-    if degree_set_filter(f, sample) == {0, f.degree}:
+    if degree_set_filter(f, sample) == {0, n}:
         return DEGREE_SET_FILTER
     return ASSUMED if assume else None
 
@@ -199,12 +235,10 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     prime is the criterion prime, and the squareness of the discriminant; honest
     `inconclusive` otherwise, also when irreducibility is neither proved nor assumed."""
     n = params.n
-    f = glp_normalized(params)
     delta = schur_discriminant(n, params.alpha)
     square = is_rational_square(delta)
-    report = newton_index(f)
-    disc = int(params.mu ** (n * (n - 1)) * delta)  # = normalized_discriminant(params), disc(f)
-    basis = _irreducibility_evidence(f, report, disc, assume_irreducible)
+    report = glp_newton_index(params)
+    basis = _irreducibility_evidence(params, report, delta, assume_irreducible)
 
     crit = find_criterion_prime(params)
     window = ([crit[0]] if crit else []) + jordan_window_primes(n)

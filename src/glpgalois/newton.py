@@ -5,6 +5,11 @@ points (j, ord_p(a_j)); zero coefficients are simply omitted since a point at
 height +infinity can never lie on a lower hull.  The Newton index is the lcm
 of the slope denominators over the finite set of primes dividing a_0 * a_n of
 the primitive part of f.
+
+`polygon_from_points` and `index_report` are the only hull and index
+builders: `newton_index` feeds them the valuations of f's coefficients, and
+`glp` the heights of the GLP polygons, which it computes without building
+the coefficients.
 """
 
 from __future__ import annotations
@@ -102,17 +107,9 @@ def _lower_hull(points: list[Point]) -> list[Point]:
     return hull
 
 
-def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
-    if f.is_zero() or f[0] == 0:
-        raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    # ord_p of each nonzero coefficient, with p checked once above
-    points = [
-        (j, _multiplicity(c.numerator, p) - _multiplicity(c.denominator, p))
-        for j, c in enumerate(f.coeffs)
-        if c
-    ]
+def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
+    """The Newton polygon at p of the points (j, height), ascending in j: their
+    lower convex hull, checked by the NewtonPolygon record."""
     vertices = _lower_hull(points)
     segments = tuple(
         Segment(
@@ -126,6 +123,33 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
     return NewtonPolygon(prime=p, points=tuple(points), vertices=tuple(vertices), segments=segments)
 
 
+def index_report(polygons: dict[int, NewtonPolygon]) -> NewtonIndexReport:
+    """The Newton index of an atlas {prime: polygon}: the lcm of the slope
+    denominators, with the slopes of denominator > 1 as each prime's witnesses."""
+    index = 1
+    witnesses: dict[int, list[Fraction]] = {}
+    for p, np in polygons.items():
+        ramified = [s for s in np.slopes if s.denominator > 1]
+        if ramified:
+            witnesses[p] = ramified
+            index = math.lcm(index, *(s.denominator for s in ramified))
+    return NewtonIndexReport(index=index, witnesses=witnesses, polygons=polygons)
+
+
+def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
+    if f.is_zero() or f[0] == 0:
+        raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    # ord_p of each nonzero coefficient, with p checked once above
+    points = [
+        (j, _multiplicity(c.numerator, p) - _multiplicity(c.denominator, p))
+        for j, c in enumerate(f.coeffs)
+        if c
+    ]
+    return polygon_from_points(p, points)
+
+
 def newton_index(f: Poly) -> NewtonIndexReport:
     """lcm of the slope denominators over all contributing primes.
 
@@ -136,17 +160,8 @@ def newton_index(f: Poly) -> NewtonIndexReport:
         raise DomainError("zero polynomial")
     _, h = strip_x_powers(f)
     g, _ = primitive_scale(h)
-    index = 1
-    witnesses: dict[int, list[Fraction]] = {}
-    polygons: dict[int, NewtonPolygon] = {}
-    if g.degree >= 1:
-        for p in sorted(candidate_primes(g)):
-            polygons[p] = newton_polygon(g, p)
-            ramified = [s for s in polygons[p].slopes if s.denominator > 1]
-            if ramified:
-                witnesses[p] = ramified
-                index = math.lcm(index, *(s.denominator for s in ramified))
-    return NewtonIndexReport(index=index, witnesses=witnesses, polygons=polygons)
+    primes = sorted(candidate_primes(g)) if g.degree >= 1 else []
+    return index_report({p: newton_polygon(g, p) for p in primes})
 
 
 def single_slope_irreducibility_evidence(f: Poly) -> bool:

@@ -99,6 +99,12 @@ class TestFrobenius:
         assert [s["p"] for s in data["samples"]] == [3, 5, 7]
         assert data["verdict"] == "contains-odd-permutation"
 
+    def test_sample_count_below_one_exit_1(self, capsys):
+        for count in ("-1", "0", "-7"):
+            code, out, err = run(capsys, "frobenius", "--poly", "1,0,1",
+                                 "--frobenius-samples", count)
+            assert (code, out, err) == (1, "", "error: need at least one sample\n"), count
+
 
 class TestGlpClassify:
     def test_golden(self, capsys):
@@ -134,6 +140,11 @@ class TestGlpDisc:
             "discriminant": "1944",
             "square": False,
         }
+
+    def test_nonpositive_degree_exit_1(self, capsys):
+        for n in ("-3", "0"):
+            code, out, err = run(capsys, "glp-disc", "--n", n, "--alpha", "1/2")
+            assert (code, out, err) == (1, "", "error: degree must be positive\n"), n
 
 
 class TestGlpScan:

@@ -24,6 +24,7 @@ from glpgalois.glp import (
     classify,
     find_criterion_prime,
     glp,
+    glp_newton_index,
     glp_normalized,
     is_rational_square,
     normalized_coefficient_products,
@@ -31,7 +32,7 @@ from glpgalois.glp import (
     schur_discriminant,
 )
 from glpgalois.modp import good_primes
-from glpgalois.newton import NewtonIndexReport, newton_polygon
+from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
 
 glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
@@ -110,6 +111,11 @@ class TestSchurDiscriminant:
     def test_n1_convention(self):
         assert schur_discriminant(1, Fraction(5, 3)) == 1
 
+    def test_nonpositive_degree_rejected(self):
+        for n in (0, -1, -3):
+            with pytest.raises(DomainError, match="degree must be positive"):
+                schur_discriminant(n, Fraction(1, 2))
+
     def test_vanishes_at_repeated_root_alphas(self):
         for n in range(2, 8):
             for a in range(-n, -1):
@@ -161,6 +167,59 @@ class TestCriterionPrime:
             assert np.vertices[0] == (0, 1) and np.vertices[1] == (p, 0)
 
 
+def seeded_params(seed: int, count: int) -> list[GlpParams]:
+    """n 1..120, mu 1..9, lam from -(n+3)*mu (alpha < -n) to 12*mu."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, mu = rng.choice((rng.randint(1, 30), rng.randint(31, 120))), rng.randint(1, 9)
+        lam = rng.randint(-(n + 3) * mu, 12 * mu)
+        if math.gcd(lam, mu) == 1 and not (mu == 1 and -n <= lam <= -1):
+            out.append(GlpParams(n, lam, mu))
+    return out
+
+
+class TestGlpNewtonIndex:
+    # (n, lam, mu): p^2 and p^3 divide some k*mu + lam (4, 8, 9, 25, 27, 49,
+    # -4, -49) or some k <= n; 3 | mu (mu 9, 6) or 2 | mu; alpha < -n and
+    # alpha = -1-n; a factor k*mu + lam = +-1; n = 1; seven-digit factors
+    EXPLICIT = [
+        (60, 0, 1), (30, 0, 1), (40, 7, 2), (100, -7, 3), (50, 1, 9), (30, 5, 6),
+        (20, -50, 1), (24, -25, 1), (49, -50, 1), (9, -10, 1), (120, -1, 2),
+        (1, 0, 1), (1, 5, 3), (2, -3, 1), (12, 1_000_001, 7), (81, 2, 1),
+    ]
+
+    def check(self, params: GlpParams):
+        want = newton_index(glp_normalized(params))
+        got = glp_newton_index(params)
+        assert got == want, params
+        assert list(got.polygons) == list(want.polygons), params
+        assert list(got.witnesses) == list(want.witnesses), params
+
+    def test_explicit_cases(self):
+        for n, lam, mu in self.EXPLICIT:
+            self.check(GlpParams(n, lam, mu))
+
+    def test_seeded_params(self):
+        for params in seeded_params(9009, 140):
+            self.check(params)
+
+    def test_primes_of_mu_are_not_candidates(self):
+        # p | mu never divides k*mu + lam, so p is no candidate even when p <= n
+        for n, lam, mu in [(50, 1, 9), (30, 5, 6), (40, 7, 2)]:
+            polygons = glp_newton_index(GlpParams(n, lam, mu)).polygons
+            assert not any(mu % p == 0 for p in polygons)
+
+    def test_heights_from_small_factors(self):
+        # n = 12, alpha = 7/2: the factors 2k + 7 are 9, 11, ..., 31, and 3 divides
+        # 9 = 3^2, 15, 21 and 27 = 3^3 (k = 1, 4, 7, 10); the height at j is
+        # ord_3(binom(12, j)) + sum_{k > j} ord_3(2k + 7)
+        binom3 = [0, 1, 1, 0, 2, 2, 1, 2, 2, 0, 1, 1, 0]
+        suffix = [7, 5, 5, 5, 4, 4, 4, 3, 3, 3, 0, 0, 0]
+        np = glp_newton_index(GlpParams(12, 7, 2)).polygons[3]
+        assert np.points == tuple((j, b + s) for j, (b, s) in enumerate(zip(binom3, suffix)))
+
+
 class TestClassify:
     def test_n9_alpha0(self):
         c = classify(GlpParams(9, 0, 1))
@@ -210,9 +269,9 @@ class TestClassify:
         for n in range(2, 41):
             for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2)):
                 params = GlpParams.from_alpha(n, alpha)
+                delta = schur_discriminant(n, alpha)
+                glp_module._irreducibility_evidence(params, no_single_slope, delta, False)
                 f = glp_normalized(params)
-                disc = int(normalized_discriminant(params))
-                glp_module._irreducibility_evidence(f, no_single_slope, disc, False)
                 assert samples.pop() == list(islice(good_primes(f), 10)), (n, alpha)
 
     def test_criterion_prime_is_preferred_window_prime(self):
