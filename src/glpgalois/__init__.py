@@ -20,6 +20,7 @@ from .glp import (
     glp_newton_index,
     glp_normalized,
     is_rational_square,
+    is_schur_square,
     normalized_discriminant,
     schur_discriminant,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "is_good_prime",
     "is_prime",
     "is_rational_square",
+    "is_schur_square",
     "jordan_window_primes",
     "lemma_key_check",
     "newton_index",

@@ -100,14 +100,18 @@ def lemma_key_check(n: int, c: Sequence[Union[int, Fraction]], p: int) -> bool:
         raise DomainError(f"prime {p} out of range for degree {n}")
     if len(c) != n + 1:
         raise DomainError("need coefficients c_0..c_n")
+    # a zero c_j lies above every line
+    return _lemma_key_holds(n, p, [ord_p(cj, p) if cj else None for cj in c])
+
+
+def _lemma_key_holds(n: int, p: int, vals: Sequence[Optional[int]]) -> bool:
+    """lemma_key_check's shortcut on vals[j] = ord_p(c_j), j = 0..n, with None
+    where c_j = 0."""
     if not (2 * p > n and p < n - 2):
         return False
-    vals = {j: ord_p(cj, p) for j, cj in enumerate(c) if cj}  # a zero c_j lies above every line
-    if any(v < 0 for v in vals.values()):
+    if any(v < 0 for v in vals if v is not None):
         return False
-    if any(vals.get(j) != 1 for j in range(1, n - p + 1)):
-        return False
-    return vals.get(p) == 0
+    return all(vals[j] == 1 for j in range(1, n - p + 1)) and vals[p] == 0
 
 
 def certify_large_galois(

@@ -167,6 +167,8 @@ def _scan_one(task: tuple[int, str, bool]) -> str:
 def _cmd_glp_scan(args) -> int:
     if args.n_from > args.n_to:
         raise DomainError("--n-from must not exceed --n-to")
+    if args.jobs is not None and args.jobs < 1:
+        raise DomainError("--jobs must be at least 1")
     alpha = str(_parse_fraction(args.alpha))
     tasks = [(n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1)]
     jobs = args.jobs or os.cpu_count() or 1

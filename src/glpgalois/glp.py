@@ -3,12 +3,12 @@
 L_n^(a)(x) = sum_j binom(n+a, n-j) (-x)^j / j! for rational a that is not an
 integer in [-n, -1], where x divides it.  The classifier works with the monic
 integral normalization f(x) = mu^n n! L_n^(lam/mu)(-x/mu) = sum_j binom(n,j)
-c_j x^j with c_j = prod_{k=j+1}^n (k*mu + lam), reads its p-adic Newton
-polygons off the n small factors k*mu + lam (never building the c_j), hunts
-for a criterion prime in the Jordan window via the coefficient-valuation
-shortcut, and resolves A_n vs S_n by the squareness of the discriminant
-product Delta = prod_{j=2}^n j^j (a+j)^(j-1).  The coefficients of f are
-built only when the mod-p degree-set filter needs f itself.
+c_j x^j with c_j = prod_{k=j+1}^n (k*mu + lam).  It reads off the n small
+factors k*mu + lam, never building the c_j, the p-adic Newton polygons of f,
+the valuations behind the criterion-prime shortcut in the Jordan window, and
+the squareness of the discriminant product Delta = prod_{j=2}^n j^j
+(a+j)^(j-1), which resolves A_n vs S_n.  The coefficients of f are built only
+when the mod-p degree-set filter needs f itself, and Delta only on request.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .certify import (
     DEGREE_SET_FILTER,
     SINGLE_SLOPE,
     GaloisCertificate,
+    _lemma_key_holds,
     certificate_to_dict,
     certify_from_reports,
     jordan_window_primes,
-    lemma_key_check,
 )
 from ._record import Record
 from .errors import DomainError
@@ -74,7 +74,6 @@ class GlpParams(Record):
 class Classification(Record):
     __slots__ = (
         "group",
-        "discriminant",
         "discriminant_is_square",
         "certificate",
         "criterion_prime",
@@ -85,7 +84,6 @@ class Classification(Record):
     def __init__(
         self,
         group: str,
-        discriminant: Fraction,
         discriminant_is_square: bool,
         certificate: GaloisCertificate,
         criterion_prime: Optional[int],
@@ -93,7 +91,6 @@ class Classification(Record):
         params: GlpParams,
     ) -> None:
         self._set("group", group)
-        self._set("discriminant", discriminant)
         self._set("discriminant_is_square", discriminant_is_square)
         self._set("certificate", certificate)
         self._set("criterion_prime", criterion_prime)
@@ -104,6 +101,12 @@ class Classification(Record):
                 raise DomainError(f"group {group} claimed without a contains_An certificate")
             if discriminant_is_square != (group == GROUP_AN):
                 raise DomainError(f"group {group} contradicts the discriminant's squareness")
+
+    @property
+    def discriminant(self) -> Fraction:
+        """Schur's product Delta, built on access; `classify` needs only its
+        squareness."""
+        return schur_discriminant(self.params.n, self.params.alpha)
 
 
 def glp(params: GlpParams) -> Poly:
@@ -147,11 +150,10 @@ def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
     for k in range(1, n + 1):
         factor = k * mu + lam
         for p in prime_factors(factor):
-            drops.setdefault(p, [0] * (n + 1))[k - 1] = _multiplicity(factor, p)
+            drops.setdefault(p, [0] * n)[k - 1] = _multiplicity(factor, p)
     polygons = {}
     for p in sorted(drops):
-        heights = list(accumulate(reversed(drops[p])))
-        heights.reverse()
+        heights = _suffix_sums(drops[p])
         if p <= n:
             legendre = [0] * (n + 1)
             for m in range(p, n + 1, p):
@@ -161,6 +163,14 @@ def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
             heights = [h + top - a - b for h, a, b in zip(heights, fact, reversed(fact))]
         polygons[p] = polygon_from_points(p, list(enumerate(heights)))
     return index_report(polygons)
+
+
+def _suffix_sums(drops: list[int]) -> list[int]:
+    """ord_p(c_j) for j = 0..n, from drops = [ord_p(k*mu + lam) for k = 1..n]:
+    the sum of the drops over k > j."""
+    sums = list(accumulate(reversed(drops), initial=0))
+    sums.reverse()
+    return sums
 
 
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
@@ -184,6 +194,19 @@ def normalized_discriminant(params: GlpParams) -> Fraction:
     return params.mu ** (n * (n - 1)) * schur_discriminant(n, params.alpha)
 
 
+def is_schur_square(params: GlpParams) -> bool:
+    """is_rational_square(schur_discriminant(n, alpha)) from the n small
+    factors.  Delta * mu^(n(n-1)) = mu^(n(n-1)/2) prod_j j^j (j*mu + lam)^(j-1)
+    is a square exactly when Delta is, and dropping its even powers leaves
+    M = prod_{odd j} j * prod_{even j} (j*mu + lam), times mu when n(n-1)/2
+    is odd: Delta is a square iff M is a non-negative square."""
+    n, lam, mu = params.n, params.lam, params.mu
+    m = math.prod(range(3, n + 1, 2)) * math.prod(range(2 * mu + lam, n * mu + lam + 1, 2 * mu))
+    if n * (n - 1) // 2 % 2:
+        m *= mu
+    return m >= 0 and math.isqrt(m) ** 2 == m
+
+
 def is_rational_square(q: Union[int, Fraction]) -> bool:
     q = Fraction(q)
     if q < 0:
@@ -196,36 +219,38 @@ def is_rational_square(q: Union[int, Fraction]) -> bool:
 
 def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
     """Largest prime p = mu*ell + lam in the search window that passes the
-    coefficient-valuation shortcut; returns (p, ell) or None.  For alpha < -n
-    every factor k*mu + lam with k <= n is negative, so there is none."""
+    coefficient-valuation shortcut (lemma_key_check on the c_j, whose
+    valuations are read off the factors k*mu + lam); returns (p, ell) or None.
+    For alpha < -n every factor k*mu + lam with k <= n is negative, so there
+    is none."""
     n, lam, mu = params.n, params.lam, params.mu
     if n < 5 or lam < -n * mu:
         return None
-    c = normalized_coefficient_products(params)
     lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil
     if lo > n - 3:
         return None
     for p in reversed(primes_in_ap_interval(lam, mu, lo, n - 3)):
-        if p <= 2:  # lemma_key_check needs an odd prime; e.g. mu=3, alpha=-10/3, n=5 gives 2
+        if p <= 2:  # the lemma needs an odd prime; e.g. mu=3, alpha=-10/3, n=5 gives 2
             continue
-        if lemma_key_check(n, c, p):
+        drops = [_multiplicity(k * mu + lam, p) for k in range(1, n + 1)]
+        if _lemma_key_holds(n, p, _suffix_sums(drops)):
             return p, (p - lam) // mu
     return None
 
 
 def _irreducibility_evidence(
-    params: GlpParams, report: NewtonIndexReport, delta: Fraction, assume: bool
+    params: GlpParams, report: NewtonIndexReport, assume: bool
 ) -> Optional[str]:
-    """The irreducibility basis of glp_normalized(params), whose polygons are
-    in report and whose discriminant is mu^(n(n-1)) * delta.  For this monic
-    integral f, p is good exactly when p does not divide the discriminant."""
+    """The irreducibility basis of f = glp_normalized(params), whose polygons
+    are in report.  For this monic integral f, p is good exactly when p does
+    not divide disc(f) = mu^(n(n-1)/2) prod_{j=2}^n j^j (j*mu + lam)^(j-1):
+    for n >= 2, when p > n and p divides neither mu nor any j*mu + lam."""
     if report.single_slope:
         return SINGLE_SLOPE
-    n = params.n
-    f = glp_normalized(params)
-    disc = int(params.mu ** (n * (n - 1)) * delta)  # = normalized_discriminant(params)
-    sample = list(islice((p for p in primes() if disc % p), _EVIDENCE_PRIME_BUDGET))
-    if degree_set_filter(f, sample) == {0, n}:
+    n, lam, mu = params.n, params.lam, params.mu
+    bad = mu * math.prod(range(2 * mu + lam, n * mu + lam + 1, mu)) if n > 1 else 1
+    sample = list(islice((p for p in primes() if p > n and bad % p), _EVIDENCE_PRIME_BUDGET))
+    if degree_set_filter(glp_normalized(params), sample) == {0, n}:
         return DEGREE_SET_FILTER
     return ASSUMED if assume else None
 
@@ -235,10 +260,9 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     prime is the criterion prime, and the squareness of the discriminant; honest
     `inconclusive` otherwise, also when irreducibility is neither proved nor assumed."""
     n = params.n
-    delta = schur_discriminant(n, params.alpha)
-    square = is_rational_square(delta)
+    square = is_schur_square(params)
     report = glp_newton_index(params)
-    basis = _irreducibility_evidence(params, report, delta, assume_irreducible)
+    basis = _irreducibility_evidence(params, report, assume_irreducible)
 
     crit = find_criterion_prime(params)
     window = ([crit[0]] if crit else []) + jordan_window_primes(n)
@@ -250,7 +274,6 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
         group = GROUP_INCONCLUSIVE
     return Classification(
         group=group,
-        discriminant=delta,
         discriminant_is_square=square,
         certificate=cert,
         criterion_prime=crit[0] if crit else None,

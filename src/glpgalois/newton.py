@@ -95,8 +95,15 @@ def strip_x_powers(f: Poly) -> tuple[int, Poly]:
 
 
 def _lower_hull(points: list[Point]) -> list[Point]:
+    """The lower hull's vertices, left to right.  A point inside a run of equal
+    heights lies on the segment between its neighbours, so it is never a
+    vertex: only the first and last points and the ends of each run are tried."""
     hull: list[Point] = []
-    for pt in points:
+    before = None  # the height of the previous point
+    for pt, after in zip(points, points[1:] + [(None, None)]):
+        if before == pt[1] == after[1]:
+            continue
+        before = pt[1]
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep the middle point only on a strict left turn

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: determinants are
 computed by rational Gaussian elimination instead of Bareiss, hulls by an
-all-pairs gift wrap instead of a monotone chain, primality by trial division,
+all-pairs gift wrap or by testing each point against every segment instead of
+a monotone chain, primality by trial division,
 and mod-p factor shapes by exhaustive root search or trial division.  Good
 primes are decided from the resultant-based discriminant, where the library
 decides them from the reduction mod p.
@@ -70,6 +71,24 @@ def brute_lower_hull(points):
     return hull
 
 
+def extreme_point_hull(points):
+    """The lower hull's vertices by definition: the first and last points, and
+    each point strictly below every segment from a point on its left to a point
+    on its right (x values distinct)."""
+    points = sorted(points)
+
+    def strictly_below(pt, a, b):
+        (x1, y1), (x2, y2) = a, b
+        return (pt[1] - y1) * (x2 - x1) < (y2 - y1) * (pt[0] - x1)
+
+    last = len(points) - 1
+    return [
+        pt for i, pt in enumerate(points)
+        if i in (0, last)
+        or all(strictly_below(pt, a, b) for a in points[:i] for b in points[i + 1:])
+    ]
+
+
 def is_good_prime_by_discriminant(f: Poly, p: int) -> bool:
     """p is good for f iff it divides neither the leading numerator, nor any
     coefficient denominator, nor disc(f)."""
@@ -94,7 +113,8 @@ def low_degree_factor_degrees(int_coeffs, p):
     F_p, by exhaustive root counting."""
     coeffs = [c % p for c in int_coeffs]
     n = len(coeffs) - 1
-    assert 1 <= n <= 3 and coeffs[-1] != 0
+    if not (1 <= n <= 3 and coeffs[-1] != 0):
+        raise ValueError("need degree 1..3 mod p")
 
     def ev(x):
         acc = 0
@@ -128,7 +148,8 @@ def is_irreducible_mod_p(int_coeffs, p):
     """Irreducibility over F_p of a monic polynomial (coefficients low first),
     by trial division by every monic polynomial of degree <= deg/2."""
     coeffs = [c % p for c in int_coeffs]
-    assert coeffs[-1] == 1
+    if coeffs[-1] != 1:
+        raise ValueError("need a monic polynomial mod p")
     n = len(coeffs) - 1
     return not any(_has_monic_divisor_mod_p(coeffs, e, p) for e in range(1, n // 2 + 1))
 

@@ -183,3 +183,10 @@ class TestGlpScan:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_jobs_below_one_exit_1(self, capsys):
+        # neither one process nor all CPUs: a count below 1 is refused
+        for jobs in ("-2", "0"):
+            code, out, err = run(capsys, "glp-scan", "--n-from", "9", "--n-to", "10",
+                                 "--alpha", "0", "--jobs", jobs)
+            assert (code, out, err) == (1, "", "error: --jobs must be at least 1\n"), jobs

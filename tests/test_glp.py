@@ -27,6 +27,7 @@ from glpgalois.glp import (
     glp_newton_index,
     glp_normalized,
     is_rational_square,
+    is_schur_square,
     normalized_coefficient_products,
     normalized_discriminant,
     schur_discriminant,
@@ -36,6 +37,8 @@ from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
 
 glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
+certify_module = importlib.import_module("glpgalois.certify")
+primes_module = importlib.import_module("glpgalois.primes")
 
 
 class TestParams:
@@ -132,6 +135,24 @@ class TestSchurDiscriminant:
         for n, lam, mu in [(2, 0, 1), (2, 1, 2), (3, 0, 1), (4, 1, 3)]:
             params = GlpParams(n, lam, mu)
             assert discriminant(glp_normalized(params)) == normalized_discriminant(params)
+
+
+class TestSchurSquare:
+    def test_parity_rule_matches_the_product(self):
+        fixed = (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(4, 9),
+                 Fraction(9, 4), Fraction(25, 4), Fraction(1000001, 7))
+        squares = 0
+        for n in range(1, 121):
+            for alpha in (*fixed, -1 - n, -5 * n):
+                want = is_rational_square(schur_discriminant(n, alpha))
+                assert is_schur_square(GlpParams.from_alpha(n, alpha)) == want, (n, alpha)
+                squares += want
+        assert squares > 100  # both answers occur
+
+    def test_discriminant_on_access(self):
+        c = classify(GlpParams.from_alpha(9, Fraction(5, 3)))
+        assert "discriminant" not in Classification.__slots__
+        assert c.discriminant == schur_discriminant(9, Fraction(5, 3))
 
 
 class TestRationalSquare:
@@ -256,8 +277,9 @@ class TestClassify:
         assert c.group == GROUP_SN and c.certificate.irreducibility_basis == ASSUMED
 
     def test_evidence_primes_are_the_first_good_primes(self, monkeypatch):
-        # the evidence skips the primes dividing the known disc(f) instead of
-        # testing the reduction mod p; for the monic integral f they agree
+        # the evidence skips the primes dividing disc(f), read off mu and the
+        # factors j*mu + lam, instead of testing the reduction mod p; for the
+        # monic integral f they agree (alpha = 1/67: p = 67 divides mu only)
         samples = []
 
         def record(f, primes_list):
@@ -267,10 +289,10 @@ class TestClassify:
         monkeypatch.setattr(glp_module, "degree_set_filter", record)
         no_single_slope = NewtonIndexReport(index=1, witnesses={}, polygons={})
         for n in range(2, 41):
-            for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2)):
+            for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
+                          Fraction(1, 67)):
                 params = GlpParams.from_alpha(n, alpha)
-                delta = schur_discriminant(n, alpha)
-                glp_module._irreducibility_evidence(params, no_single_slope, delta, False)
+                glp_module._irreducibility_evidence(params, no_single_slope, False)
                 f = glp_normalized(params)
                 assert samples.pop() == list(islice(good_primes(f), 10)), (n, alpha)
 
@@ -292,13 +314,30 @@ class TestClassify:
 
     def test_group_claim_invariants(self):
         params = GlpParams(9, 0, 1)
-        delta = schur_discriminant(9, 0)
         weak = GaloisCertificate(INCONCLUSIVE, 9, Fraction(0), 1, ASSUMED)
         strong = classify(params).certificate
         for group, square, cert in [(GROUP_SN, False, weak), (GROUP_AN, False, strong),
                                     (GROUP_SN, True, strong)]:
             with pytest.raises(DomainError):
-                Classification(group, delta, square, cert, 5, 5, params)
+                Classification(group, square, cert, 5, 5, params)
+
+    def test_single_slope_cases_build_no_big_integer(self, monkeypatch):
+        # Delta, the c_j, their squareness test and ord_p on them are never
+        # needed when a polygon proves irreducibility
+        cases = [GlpParams.from_alpha(n, alpha) for n in range(9, 61) for alpha in (0, "5/3")]
+        cases = [params for params in cases if glp_newton_index(params).single_slope]
+        want = [classification_to_dict(classify(params)) for params in cases]
+
+        def forbidden(*args):
+            raise AssertionError("big-integer path taken")
+
+        for module, name in [(glp_module, "schur_discriminant"),
+                             (glp_module, "normalized_coefficient_products"),
+                             (glp_module, "is_rational_square"),
+                             (primes_module, "ord_p"), (certify_module, "ord_p")]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert [classification_to_dict(classify(params)) for params in cases] == want
+        assert len(cases) > 50
 
     def test_certificate_replay(self):
         c = classify(GlpParams(10, 0, 1))

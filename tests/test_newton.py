@@ -9,12 +9,13 @@ from glpgalois.newton import (
     NewtonPolygon,
     newton_index,
     newton_polygon,
+    polygon_from_points,
     single_slope_irreducibility_evidence,
     strip_x_powers,
 )
 from glpgalois.polys import Poly, parse_poly, poly_from_coeffs
 
-from oracles import brute_lower_hull
+from oracles import brute_lower_hull, extreme_point_hull
 
 
 def rand_nonzero_constant_poly(rng, max_deg=12, span=10**4):
@@ -78,6 +79,22 @@ class TestPolygon:
             p = rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
             np = newton_polygon(f, p)
             assert list(np.vertices) == brute_lower_hull(list(np.points))
+
+    def test_hull_on_plateaus_matches_extreme_points(self):
+        # long runs of equal heights, as in the GLP polygons above n, with x
+        # gaps where zero coefficients are omitted; the hull skips the points
+        # inside a run, the record keeps them all
+        rng = random.Random(47)
+        for _ in range(300):
+            points, x = [], 0
+            for _ in range(rng.randint(1, 8)):
+                h = rng.randint(-3, 12)
+                for _ in range(rng.choice((1, 2, rng.randint(3, 20)))):
+                    points.append((x, h))
+                    x += rng.choice((1, 1, 1, 2, 7))
+            np = polygon_from_points(5, points)
+            assert np.points == tuple(points)
+            assert list(np.vertices) == extreme_point_hull(points), points
 
 
 class TestStripXPowers:

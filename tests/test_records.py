@@ -151,9 +151,8 @@ def invalid_values():
         (GlpParams, (5, 1, 0)),
         (GlpParams, (5, 2, 4)),
         (GlpParams, (5, -2, 1)),
-        (Classification, (GROUP_AN, c.discriminant, True, no_claim, None, None, c.params)),
-        (Classification, (GROUP_AN, c.discriminant, False, c.certificate,
-                          c.criterion_prime, c.ell, c.params)),
+        (Classification, (GROUP_AN, True, no_claim, None, None, c.params)),
+        (Classification, (GROUP_AN, False, c.certificate, c.criterion_prime, c.ell, c.params)),
     ]
 
 
