@@ -133,6 +133,19 @@ def _cmd_glp_classify(args) -> int:
     return 0
 
 
+def _rational_text(q: Fraction) -> str:
+    """str(q), also above the interpreter's limit on int-to-str conversion
+    (4,300 digits by default from Python 3.11): such an integer is converted
+    through `decimal`, whose conversion has no limit."""
+    try:
+        return str(q)
+    except ValueError:
+        from decimal import Decimal  # only a huge Delta needs it
+
+        text = str(Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def _cmd_glp_disc(args) -> int:
     alpha = _parse_fraction(args.alpha)
     delta = schur_discriminant(args.n, alpha)
@@ -144,13 +157,13 @@ def _cmd_glp_disc(args) -> int:
         monic = glp(params) * (sign * math.factorial(args.n))
         verified = discriminant(monic) == delta
     if args.json:
-        payload = {"n": args.n, "alpha": str(alpha), "discriminant": str(delta),
+        payload = {"n": args.n, "alpha": str(alpha), "discriminant": _rational_text(delta),
                    "square": square}
         if verified is not None:
             payload["verified"] = verified
         print(json.dumps(payload, sort_keys=True))
     else:
-        line = f"{delta} square={str(square).lower()}"
+        line = f"{_rational_text(delta)} square={str(square).lower()}"
         if verified is not None:
             line += f" verified={str(verified).lower()}"
         print(line)

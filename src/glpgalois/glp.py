@@ -9,6 +9,12 @@ the valuations behind the criterion-prime shortcut in the Jordan window, and
 the squareness of the discriminant product Delta = prod_{j=2}^n j^j
 (a+j)^(j-1), which resolves A_n vs S_n.  The coefficients of f are built only
 when the mod-p degree-set filter needs f itself, and Delta only on request.
+
+The polygon atlas holds each candidate prime's hull vertices and nothing
+else; the index and its witnesses need only those.  Every height of f's
+polygons is >= 0 and the last point is (n, 0), so a vertex is (n, 0) or a
+strict prefix minimum of the heights, and at p > n, where p divides at
+most one factor k*mu + lam, the vertices are known without a hull.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .certify import (
 from ._record import Record
 from .errors import DomainError
 from .modp import degree_set_filter
-from .newton import NewtonIndexReport, index_report, polygon_from_points
+from .newton import NewtonIndexReport, _lower_hull, index_report
 from .polys import Poly
 from .primes import _multiplicity, prime_factors, primes, primes_in_ap_interval
 
@@ -139,30 +145,64 @@ def glp_normalized(params: GlpParams) -> Poly:
 
 
 def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
-    """newton_index(glp_normalized(params)), polygon for polygon, from the n
-    small factors k*mu + lam instead of the coefficients binom(n,j) c_j.
+    """newton_index(glp_normalized(params)), hull for hull, from the n small
+    factors k*mu + lam instead of the coefficients binom(n,j) c_j.
 
     The candidate primes are the primes of c_0 = prod_k (k*mu + lam).  At p
-    the height at j is ord_p(n!) - ord_p(j!) - ord_p((n-j)!) (Legendre) plus
-    the suffix sum of ord_p(k*mu + lam) over k > j."""
+    every height ord_p(binom(n,j) c_j) is >= 0 and the last point is (n, 0),
+    so the hull falls from (0, h_0) until it reaches height 0: every vertex is
+    (n, 0) or a strict prefix minimum of the heights, and the hull is taken
+    over those alone.  At p > n there is no hull to take: p does not divide
+    mu (lam/mu is in lowest terms), so it divides at most one factor, at
+    some k, since 1 <= k <= n < p; the heights are e = ord_p(k*mu + lam) for
+    j < k and 0 from k on, and the vertices are (0, e), (k, 0) and (n, 0)."""
     n, lam, mu = params.n, params.lam, params.mu
-    drops: dict[int, list[int]] = {}  # p -> ord_p(k*mu + lam) at index k - 1
+    drops: dict[int, list[tuple[int, int]]] = {}  # p -> [(k, ord_p(k*mu + lam))]
     for k in range(1, n + 1):
         factor = k * mu + lam
         for p in prime_factors(factor):
-            drops.setdefault(p, [0] * n)[k - 1] = _multiplicity(factor, p)
-    polygons = {}
+            drops.setdefault(p, []).append((k, _multiplicity(factor, p)))
+    hulls = {}
     for p in sorted(drops):
-        heights = _suffix_sums(drops[p])
-        if p <= n:
-            legendre = [0] * (n + 1)
-            for m in range(p, n + 1, p):
-                legendre[m] = _multiplicity(m, p)
-            fact = list(accumulate(legendre))  # ord_p(m!)
-            top = fact[n]
-            heights = [h + top - a - b for h, a, b in zip(heights, fact, reversed(fact))]
-        polygons[p] = polygon_from_points(p, list(enumerate(heights)))
-    return index_report(polygons)
+        if p > n:
+            ((k, e),) = drops[p]
+            hulls[p] = ((0, e), (k, 0), (n, 0)) if k < n else ((0, e), (n, 0))
+        else:
+            hulls[p] = _lower_hull(_prefix_minima(_glp_heights(n, p, drops[p])))
+    return index_report(hulls)
+
+
+def _glp_heights(n: int, p: int, drops: list[tuple[int, int]]) -> list[int]:
+    """ord_p(binom(n,j) c_j) for j = 0..n, from drops = [(k, ord_p(k*mu + lam))]
+    over the k with p | k*mu + lam: ord_p(n!) - ord_p(j!) - ord_p((n-j)!)
+    (Legendre) plus the sum of the drops at k > j."""
+    at = [0] * n
+    for k, e in drops:
+        at[k - 1] = e
+    heights = _suffix_sums(at)
+    legendre = [0] * (n + 1)
+    for m in range(p, n + 1, p):
+        legendre[m] = _multiplicity(m, p)
+    fact = list(accumulate(legendre))  # ord_p(m!)
+    top = fact[n]
+    return [h + top - a - b for h, a, b in zip(heights, fact, reversed(fact))]
+
+
+def _prefix_minima(heights: list[int]) -> list[tuple[int, int]]:
+    """The strict prefix minima (j, h_j) of heights that are >= 0 and end in
+    0, up to the first 0, then the last point: among them is every vertex
+    of the lower hull of all the points."""
+    points, low = [], heights[0] + 1
+    for j, h in enumerate(heights):
+        if h < low:
+            points.append((j, h))
+            low = h
+            if not h:  # no later height is lower
+                break
+    last = len(heights) - 1
+    if points[-1][0] != last:
+        points.append((last, 0))
+    return points
 
 
 def _suffix_sums(drops: list[int]) -> list[int]:
@@ -176,15 +216,21 @@ def _suffix_sums(drops: list[int]) -> list[int]:
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
     """Delta = prod_{j=2}^n j^j (alpha+j)^(j-1); defined as 1 for n = 1.  With
     alpha = lam/mu each alpha + j is (j*mu + lam)/mu, so Delta is one integer
-    product over mu^(n(n-1)/2)."""
+    product over mu^(n(n-1)/2), taken in a balanced product tree."""
     if n < 1:
         raise DomainError("degree must be positive")
     a = Fraction(alpha)
     lam, mu = a.numerator, a.denominator
-    num = 1
-    for j in range(2, n + 1):
-        num *= j**j * (j * mu + lam) ** (j - 1)
-    return Fraction(num, mu ** (n * (n - 1) // 2))
+    terms = [j**j * (j * mu + lam) ** (j - 1) for j in range(2, n + 1)]
+    return Fraction(_product_tree(terms), mu ** (n * (n - 1) // 2))
+
+
+def _product_tree(terms: list[int]) -> int:
+    """prod(terms), multiplying neighbours pairwise level by level, so that
+    the operands of each product are of about equal size."""
+    while len(terms) > 1:
+        terms = [math.prod(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0] if terms else 1
 
 
 def normalized_discriminant(params: GlpParams) -> Fraction:

@@ -6,16 +6,21 @@ height +infinity can never lie on a lower hull.  The Newton index is the lcm
 of the slope denominators over the finite set of primes dividing a_0 * a_n of
 the primitive part of f.
 
-`polygon_from_points` and `index_report` are the only hull and index
-builders: `newton_index` feeds them the valuations of f's coefficients, and
-`glp` the heights of the GLP polygons, which it computes without building
-the coefficients.
+A polygon is fixed by its hull vertices, and the index, its witness slopes
+and the single-slope test need only each segment's integer (rise, run).  So
+a `NewtonIndexReport` holds the vertices at every candidate prime, and
+`index_report` is the one index builder: `newton_index` feeds it the hulls
+of f's coefficient valuations, and `glp` hulls it builds from the small
+factors of the GLP coefficients.  The `NewtonPolygon` and `Segment` records,
+with every point and a `Fraction` slope per segment, are built only by
+`newton_polygon`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from ._record import Record
 from .errors import DomainError
@@ -65,23 +70,26 @@ class NewtonPolygon(Record):
 
 
 class NewtonIndexReport(Record):
-    __slots__ = ("index", "witnesses", "polygons")
+    __slots__ = ("index", "witnesses", "vertices")
 
     def __init__(
         self,
         index: int,
         witnesses: dict[int, list[Fraction]],  # prime -> slopes with denominator > 1
-        polygons: dict[int, NewtonPolygon],  # every candidate prime -> its polygon
+        vertices: dict[int, tuple[Point, ...]],  # every candidate prime -> its hull vertices
     ) -> None:
         self._set("index", index)
         self._set("witnesses", witnesses)
-        self._set("polygons", polygons)
+        self._set("vertices", vertices)
 
     @property
     def single_slope(self) -> bool:
-        """Some polygon is one segment whose slope denominator is its length."""
-        segments = [np.segments for np in self.polygons.values()]
-        return any(len(s) == 1 and s[0].slope.denominator == s[0].length for s in segments)
+        """Some polygon is one segment whose slope denominator is its length:
+        its rise and run are coprime."""
+        return any(
+            len(hull) == 2 and math.gcd(hull[1][1] - hull[0][1], hull[1][0] - hull[0][0]) == 1
+            for hull in self.vertices.values()
+        )
 
 
 def strip_x_powers(f: Poly) -> tuple[int, Poly]:
@@ -130,17 +138,46 @@ def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
     return NewtonPolygon(prime=p, points=tuple(points), vertices=tuple(vertices), segments=segments)
 
 
-def index_report(polygons: dict[int, NewtonPolygon]) -> NewtonIndexReport:
-    """The Newton index of an atlas {prime: polygon}: the lcm of the slope
-    denominators, with the slopes of denominator > 1 as each prime's witnesses."""
+def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
+    """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
+    denominators, with the slopes of denominator > 1 as each prime's witnesses.
+    A segment's denominator is run / gcd(rise, run); only a witness slope
+    becomes a `Fraction`.  Every hull must run from x = 0 to the same last x
+    with strictly increasing slopes, checked on integer cross products."""
     index = 1
     witnesses: dict[int, list[Fraction]] = {}
-    for p, np in polygons.items():
-        ramified = [s for s in np.slopes if s.denominator > 1]
+    vertices: dict[int, tuple[Point, ...]] = {}
+    end = None
+    for p, hull in hulls.items():
+        if len(hull) < 2 or hull[0][0] != 0:
+            raise DomainError(f"hull at {p} does not start a segment at x = 0")
+        (x0, y0), ramified = hull[0], []
+        rise, run = -1, 0  # before the first segment: any slope is larger
+        for x1, y1 in hull[1:]:
+            dy, dx = y1 - y0, x1 - x0
+            if dx <= 0 or dy * run <= rise * dx:
+                raise DomainError(f"hull at {p} is not convex from left to right")
+            rise, run, x0, y0 = dy, dx, x1, y1
+            denominator = run // math.gcd(rise, run)
+            if denominator > 1:
+                ramified.append(Fraction(rise, run))
+                index = math.lcm(index, denominator)
+        end = x0 if end is None else end
+        if x0 != end:
+            raise DomainError(f"hull at {p} ends at x = {x0}, not at {end}")
         if ramified:
             witnesses[p] = ramified
-            index = math.lcm(index, *(s.denominator for s in ramified))
-    return NewtonIndexReport(index=index, witnesses=witnesses, polygons=polygons)
+        vertices[p] = tuple(hull)
+    return NewtonIndexReport(index=index, witnesses=witnesses, vertices=vertices)
+
+
+def _valuation_points(f: Poly, p: int) -> list[Point]:
+    """(j, ord_p(a_j)) for the nonzero coefficients a_j of f, for a prime p."""
+    return [
+        (j, _multiplicity(c.numerator, p) - _multiplicity(c.denominator, p))
+        for j, c in enumerate(f.coeffs)
+        if c
+    ]
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
@@ -148,13 +185,7 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
         raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    # ord_p of each nonzero coefficient, with p checked once above
-    points = [
-        (j, _multiplicity(c.numerator, p) - _multiplicity(c.denominator, p))
-        for j, c in enumerate(f.coeffs)
-        if c
-    ]
-    return polygon_from_points(p, points)
+    return polygon_from_points(p, _valuation_points(f, p))
 
 
 def newton_index(f: Poly) -> NewtonIndexReport:
@@ -168,7 +199,7 @@ def newton_index(f: Poly) -> NewtonIndexReport:
     _, h = strip_x_powers(f)
     g, _ = primitive_scale(h)
     primes = sorted(candidate_primes(g)) if g.degree >= 1 else []
-    return index_report({p: newton_polygon(g, p) for p in primes})
+    return index_report({p: _lower_hull(_valuation_points(g, p)) for p in primes})
 
 
 def single_slope_irreducibility_evidence(f: Poly) -> bool:

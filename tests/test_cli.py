@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import glpgalois
 from glpgalois.cli import main
+from glpgalois.glp import schur_discriminant
 
 
 def run(capsys, *argv):
@@ -145,6 +148,22 @@ class TestGlpDisc:
         for n in ("-3", "0"):
             code, out, err = run(capsys, "glp-disc", "--n", n, "--alpha", "1/2")
             assert (code, out, err) == (1, "", "error: degree must be positive\n"), n
+
+    def test_discriminant_beyond_the_int_to_str_limit(self, capsys):
+        # Delta has 17,872 digits at n = 100, alpha = 0, above the 4,300 that
+        # str(int) allows by default from Python 3.11; it is printed in full
+        for alpha in ("0", "1000001/7"):
+            code, out, err = run(capsys, "glp-disc", "--n", "100", "--alpha", alpha, "--json")
+            assert (code, err) == (0, ""), alpha
+            text = json.loads(out)["discriminant"]
+            num, _, den = text.partition("/")
+            delta = schur_discriminant(100, Fraction(alpha))
+            assert len(num) > 4300 and bool(den) == (delta.denominator > 1), alpha
+            # int(Decimal) converts without the limit
+            assert int(Decimal(num)) == delta.numerator, alpha
+            assert int(Decimal(den or "1")) == delta.denominator, alpha
+            code, out, _ = run(capsys, "glp-disc", "--n", "100", "--alpha", alpha)
+            assert (code, out) == (0, f"{text} square=false\n"), alpha
 
 
 class TestGlpScan:

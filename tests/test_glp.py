@@ -35,6 +35,9 @@ from glpgalois.glp import (
 from glpgalois.modp import good_primes
 from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
+from glpgalois.primes import ord_p
+
+from oracles import extreme_point_hull
 
 glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
 certify_module = importlib.import_module("glpgalois.certify")
@@ -213,8 +216,8 @@ class TestGlpNewtonIndex:
     def check(self, params: GlpParams):
         want = newton_index(glp_normalized(params))
         got = glp_newton_index(params)
-        assert got == want, params
-        assert list(got.polygons) == list(want.polygons), params
+        assert got == want, params  # the index, the witnesses and each prime's vertices
+        assert list(got.vertices) == list(want.vertices), params  # the candidate primes, in order
         assert list(got.witnesses) == list(want.witnesses), params
 
     def test_explicit_cases(self):
@@ -228,8 +231,8 @@ class TestGlpNewtonIndex:
     def test_primes_of_mu_are_not_candidates(self):
         # p | mu never divides k*mu + lam, so p is no candidate even when p <= n
         for n, lam, mu in [(50, 1, 9), (30, 5, 6), (40, 7, 2)]:
-            polygons = glp_newton_index(GlpParams(n, lam, mu)).polygons
-            assert not any(mu % p == 0 for p in polygons)
+            vertices = glp_newton_index(GlpParams(n, lam, mu)).vertices
+            assert not any(mu % p == 0 for p in vertices)
 
     def test_heights_from_small_factors(self):
         # n = 12, alpha = 7/2: the factors 2k + 7 are 9, 11, ..., 31, and 3 divides
@@ -237,8 +240,34 @@ class TestGlpNewtonIndex:
         # ord_3(binom(12, j)) + sum_{k > j} ord_3(2k + 7)
         binom3 = [0, 1, 1, 0, 2, 2, 1, 2, 2, 0, 1, 1, 0]
         suffix = [7, 5, 5, 5, 4, 4, 4, 3, 3, 3, 0, 0, 0]
-        np = glp_newton_index(GlpParams(12, 7, 2)).polygons[3]
-        assert np.points == tuple((j, b + s) for j, (b, s) in enumerate(zip(binom3, suffix)))
+        heights = glp_module._glp_heights(12, 3, [(1, 2), (4, 1), (7, 1), (10, 3)])
+        assert heights == [b + s for b, s in zip(binom3, suffix)]
+        points = list(enumerate(heights))
+        assert glp_newton_index(GlpParams(12, 7, 2)).vertices[3] == tuple(extreme_point_hull(points))
+
+    # mu > 1; p^2 | k*mu + lam at p <= n (9, 27, 25) and at p > n (121 = 11^2 at
+    # n = 10, 49 = 7^2 at n = 6); alpha < -n, also with mu > 1; alpha = -1-n; n = 1
+    HULL_CASES = [
+        (12, 7, 2), (30, 5, 6), (40, 7, 2), (10, 116, 1), (6, 34, 5), (20, -50, 1),
+        (15, -52, 3), (24, -25, 1), (40, -41, 1), (1, 0, 1), (1, 5, 3), (1, -5, 2),
+    ]
+
+    def test_hull_matches_extreme_points(self):
+        # the atlas takes the hull over the prefix minima (p <= n) or writes it
+        # down (p > n); compare it with the extreme points of all n + 1 points,
+        # read off the coefficients of glp_normalized
+        cases = [GlpParams(*c) for c in self.HULL_CASES]
+        cases += [params for params in seeded_params(4242, 120) if params.n <= 60][:60]
+        for params in cases:
+            n, lam, mu = params.n, params.lam, params.mu
+            coeffs = glp_normalized(params).coeffs
+            for p, vertices in glp_newton_index(params).vertices.items():
+                points = [(j, ord_p(c, p)) for j, c in enumerate(coeffs)]
+                assert vertices == tuple(extreme_point_hull(points)), (params, p)
+                if p > n:
+                    # at most two segments, bending at the one k with p | k*mu + lam
+                    (k,) = [k for k in range(1, n + 1) if (k * mu + lam) % p == 0]
+                    assert len(vertices) <= 3 and vertices[1] == (k, 0), (params, p)
 
 
 class TestClassify:
@@ -287,7 +316,7 @@ class TestClassify:
             return set()
 
         monkeypatch.setattr(glp_module, "degree_set_filter", record)
-        no_single_slope = NewtonIndexReport(index=1, witnesses={}, polygons={})
+        no_single_slope = NewtonIndexReport(index=1, witnesses={}, vertices={})
         for n in range(2, 41):
             for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
                           Fraction(1, 67)):

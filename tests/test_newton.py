@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,13 +10,14 @@ import pytest
 from glpgalois.errors import DomainError
 from glpgalois.newton import (
     NewtonPolygon,
+    index_report,
     newton_index,
     newton_polygon,
     polygon_from_points,
     single_slope_irreducibility_evidence,
     strip_x_powers,
 )
-from glpgalois.polys import Poly, parse_poly, poly_from_coeffs
+from glpgalois.polys import Poly, parse_poly, poly_from_coeffs, primitive_scale
 
 from oracles import brute_lower_hull, extreme_point_hull
 
@@ -112,10 +116,12 @@ class TestNewtonIndex:
         assert r.index == 6
         assert r.witnesses[3] == [Fraction(-1, 3)]
         assert r.witnesses[2] == [Fraction(-1, 2)]
-        # the atlas keeps the polygon of every candidate prime, ramified or not
-        assert r.polygons == {p: newton_polygon(parse_poly("6,18,9,1"), p) for p in (2, 3)}
+        # the atlas keeps the hull vertices of every candidate prime, ramified or not
+        assert r.vertices == {
+            p: newton_polygon(parse_poly("6,18,9,1"), p).vertices for p in (2, 3)
+        }
         unramified = newton_index(parse_poly("2,3,1"))
-        assert unramified.witnesses == {} and set(unramified.polygons) == {2}
+        assert unramified.witnesses == {} and set(unramified.vertices) == {2}
         assert newton_index(parse_poly("-1,0,1")).index == 1
 
     def test_divides_lcm(self):
@@ -138,6 +144,68 @@ class TestNewtonIndex:
             f = rand_nonzero_constant_poly(rng, max_deg=8, span=100)
             c = rng.choice([1, -1]) * rng.randint(1, 60)
             assert newton_index(f).index == newton_index(f.scale_x(c)).index
+
+
+class TestIndexReport:
+    def test_from_vertices(self):
+        r = index_report({2: ((0, 3), (2, 0), (6, 0)), 3: ((0, 4), (2, 1), (6, 0)), 5: ((0, 1), (6, 0))})
+        assert r.index == 12
+        assert r.witnesses == {2: [Fraction(-3, 2)], 3: [Fraction(-3, 2), Fraction(-1, 4)],
+                               5: [Fraction(-1, 6)]}
+        assert list(r.witnesses) == [2, 3, 5] and r.single_slope
+        flat = index_report({7: ((0, 2), (6, 0))})  # slope -1/3 on a run of 6
+        assert flat.index == 3 and not flat.single_slope
+        assert index_report({}).index == 1
+
+    # not convex, equal slopes, x not increasing, one vertex or none, not from
+    # x = 0, and two hulls that end at different x
+    BAD_HULLS = [
+        {2: ((0, 0), (1, 1), (2, 0))},
+        {2: ((0, 2), (1, 1), (2, 0))},
+        {2: ((0, 1), (0, 0), (2, 0))},
+        {2: ((0, 1),)},
+        {2: ()},
+        {2: ((1, 1), (3, 0))},
+        {2: ((0, 1), (3, 0)), 3: ((0, 1), (2, 0))},
+    ]
+
+    def test_bad_hulls_rejected(self):
+        for hulls in self.BAD_HULLS:
+            with pytest.raises(DomainError):
+                index_report(hulls)
+
+    def test_bad_hulls_rejected_under_python_optimize(self):
+        code = (
+            "from glpgalois.errors import DomainError\n"
+            "from glpgalois.newton import index_report\n"
+            f"for hulls in {self.BAD_HULLS!r}:\n"
+            "    try:\n"
+            "        index_report(hulls)\n"
+            "    except DomainError:\n"
+            "        print('rejected')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(index_report.__code__.co_filename)))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "rejected\n" * len(self.BAD_HULLS), out.stderr
+
+    def test_matches_polygon_records(self):
+        # the index, witnesses and single-slope test from (rise, run) pairs agree
+        # with the Fraction slopes and lengths of the NewtonPolygon records
+        rng = random.Random(61)
+        for _ in range(150):
+            f = rand_nonzero_constant_poly(rng, max_deg=10, span=10**5)
+            r = newton_index(f)
+            g, _ = primitive_scale(f)  # the index is taken on the primitive part
+            polygons = {p: newton_polygon(g, p) for p in r.vertices}
+            assert r.vertices == {p: np.vertices for p, np in polygons.items()}
+            ramified = {p: [s for s in np.slopes if s.denominator > 1] for p, np in polygons.items()}
+            assert r.witnesses == {p: sl for p, sl in ramified.items() if sl}
+            assert r.index == math.lcm(1, *(s.denominator for sl in ramified.values() for s in sl))
+            assert r.single_slope == any(
+                len(np.segments) == 1 and np.slopes[0].denominator == np.segments[0].length
+                for np in polygons.values()
+            )
 
 
 class TestSingleSlopeEvidence:
