@@ -58,11 +58,26 @@ class CycleType(Record):
         return (self.n - len(self.degrees)) % 2 == 0
 
 
+# The reductions is_good_prime accepted, by (id(f), p), each with its f: the
+# entry keeps f alive, so the id names no other object while it is kept.
+# factor_degrees takes the entry of the same object and prime instead of
+# reducing again; an equal but distinct Poly is reduced anew.
+_ACCEPTED: dict[tuple[int, int], tuple[Poly, Residues]] = {}
+_ACCEPTED_LIMIT = 64
+
+
 def is_good_prime(f: Poly, p: int) -> bool:
     """True iff f keeps its degree mod p and its reduction is square-free,
     i.e. iff p divides neither disc(f) nor the leading coefficient nor any
-    coefficient denominator."""
-    return _good_reduction(f, p) is not None
+    coefficient denominator.  An accepted reduction is kept for
+    factor_degrees(f, p), which good_primes' callers run next."""
+    fbar = _good_reduction(f, p)
+    if fbar is None:
+        return False
+    if len(_ACCEPTED) >= _ACCEPTED_LIMIT:
+        _ACCEPTED.clear()
+    _ACCEPTED[id(f), p] = (f, fbar)
+    return True
 
 
 def good_primes(f: Poly) -> Iterator[int]:
@@ -91,7 +106,7 @@ def _bad_prime_bound(f: Poly) -> int:
     |disc(g)| <= n^n * (sum g_i^2)^n."""
     g, _ = primitive_scale(f)
     n, lc = g.degree, int(g.leading)
-    den = lcm(*(c.denominator for c in f.coeffs))
+    den = lcm(*[c.denominator for c in f.coeffs])  # a list: see polys.primitive_scale
     return den * abs(f.leading.numerator) * lc * n**n * sum(int(c) ** 2 for c in g.coeffs) ** n
 
 
@@ -298,7 +313,8 @@ def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
 
 def factor_degrees(f: Poly, p: int) -> CycleType:
     """Degree multiset of the irreducible factors of f mod a good prime p."""
-    fbar = _good_reduction(f, p)
+    kept = _ACCEPTED.pop((id(f), p), None)
+    fbar = _good_reduction(f, p) if kept is None else kept[1]
     if fbar is None:
         raise BadPrimeError(f"{p} is not a good prime for this polynomial")
     degrees, blocks = _ddf_degrees(fbar, p)

@@ -68,16 +68,24 @@ class Poly(Record):
         return Poly.from_coeffs([j * c for j, c in enumerate(self.coeffs)][1:])
 
     def shift(self, mu: Rational) -> "Poly":
-        """Return g with g(x) = f(x - mu), by repeated synthetic division."""
+        """Return g with g(x) = f(x - mu), in integers.  With D the common
+        denominator of the c_j and t = -mu = a/b, D b^n f(x + t) = H(bx + a)
+        for the integer H(y) = sum D c_j b^(n-j) y^j.  Synthetic division by
+        a gives K(y) = H(y + a), and g_j = k_j / (D b^(n-j))."""
         if self.is_zero():
             raise ZeroPolynomialError("cannot shift the zero polynomial")
         t = -Fraction(mu)  # g(x) = f(x + t)
-        b = list(self.coeffs)
-        n = len(b)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                b[j] += t * b[j + 1]
-        return Poly.from_coeffs(b)
+        a, b = t.numerator, t.denominator
+        n = len(self.coeffs) - 1
+        den = math.lcm(*[c.denominator for c in self.coeffs])
+        bpow = [b**j for j in range(n + 1)]
+        h = [c.numerator * (den // c.denominator) * bpow[n - j] for j, c in enumerate(self.coeffs)]
+        if a:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    h[j] += a * h[j + 1]
+        # tuples from lists, not from generators: see primitive_scale
+        return Poly(tuple([Fraction(k, den * bpow[n - j]) for j, k in enumerate(h)]))
 
     def scale_x(self, c: Rational) -> "Poly":
         """Return f(c*x)."""
@@ -114,8 +122,13 @@ def primitive_scale(f: Poly) -> tuple[Poly, Fraction]:
     positive leading coefficient); returns (g, c)."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no primitive part")
-    den_lcm = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den_lcm) for c in f.coeffs]
+    # *-arguments from a list, not a generator: a tuple built from a
+    # generator is allocated at a guessed size and resized, but freed at its
+    # final size, so each one leaves a block on that size's free list (up to
+    # 2,000 a size, until a full garbage collection); from a list it is
+    # allocated at its final size.
+    den_lcm = math.lcm(*[c.denominator for c in f.coeffs])
+    ints = [c.numerator * (den_lcm // c.denominator) for c in f.coeffs]
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content

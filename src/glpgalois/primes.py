@@ -20,6 +20,10 @@ from .polys import Poly
 _SIEVE_LIMIT = 1 << 16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# Pollard rho steps per split: about 47 times the most (210,593) that an
+# input of glpbench's generic_certify or cli_batch corpora needed over 20
+# seeds, shifts included; see _pollard_rho
+RHO_BUDGET = 10_000_000
 
 
 def _sieve() -> bytearray:
@@ -52,6 +56,12 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
+def _is_prime_without_small_factor(m: int) -> bool:
+    """Primality of an m >= 2^16 with no prime factor below 2^16: below 2^32
+    m is then prime, since 65537^2 > 2^32; above, Miller-Rabin decides."""
+    return m < 1 << 32 or all(_strong_probable_prime(m, a) for a in _MR_WITNESSES)
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -62,8 +72,7 @@ def is_prime(m: int) -> bool:
             return True
         if m % p == 0:
             return False
-    # m has no factor below 2^16, so m < 2^32 is already settled above.
-    return all(_strong_probable_prime(m, a) for a in _MR_WITNESSES if a % m != 0)
+    return _is_prime_without_small_factor(m)
 
 
 def primes() -> Iterator[int]:
@@ -107,40 +116,58 @@ def primes_in_ap_interval(lam: int, mu: int, lo: int, hi: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite with no factor below 2^16
+    """A proper divisor of an odd composite n with no factor below 2^16, by
+    Floyd's cycle search on x -> x^2 + c for c = 1, 2, ...  The steps grow
+    like the square root of n's smallest prime, so after RHO_BUDGET steps in
+    all it raises DomainError instead of running on."""
+    budget = RHO_BUDGET
     for c in count(1):
         x = y = 2
-        d = 1
-        while d == 1:
+        for step in range(1, budget + 1):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
+            if d != 1:
+                break
+        else:
+            raise DomainError(f"cannot factor {n}: no factor found in {RHO_BUDGET} Pollard rho steps")
         if d != n:
             return d
+        budget -= step
     raise AssertionError("unreachable")
 
 
+def _add_large_prime_factors(m: int, out: set[int]) -> None:
+    """Add the primes of an m > 1 with no prime factor below 2^16 to out.
+    The divisors that rho finds have none either, so they are not divided
+    by the small primes again."""
+    if _is_prime_without_small_factor(m):
+        out.add(m)
+        return
+    d = _pollard_rho(m)
+    _add_large_prime_factors(d, out)
+    _add_large_prime_factors(m // d, out)
+
+
 def prime_factors(m: int) -> set[int]:
-    """The set of primes dividing |m|; m must be nonzero."""
+    """The set of primes dividing |m|; m must be nonzero.  Each prime below
+    2^16 is tried once; a cofactor left when p^2 > m is prime."""
     if m == 0:
         raise DomainError("0 has no prime factorization")
     m = abs(m)
     out: set[int] = set()
     for p in SMALL_PRIMES:
         if p * p > m:
-            break
+            if m > 1:
+                out.add(m)
+            return out
         if m % p == 0:
             out.add(p)
             while m % p == 0:
                 m //= p
     if m > 1:
-        if is_prime(m):
-            out.add(m)
-        else:
-            d = _pollard_rho(m)
-            out |= prime_factors(d)
-            out |= prime_factors(m // d)
+        _add_large_prime_factors(m, out)
     return out
 
 

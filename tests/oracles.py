@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: determinants are
 computed by rational Gaussian elimination instead of Bareiss, hulls by an
 all-pairs gift wrap or by testing each point against every segment instead of
-a monotone chain, primality by trial division,
-and mod-p factor shapes by exhaustive root search or trial division.  Good
+a monotone chain, primality by trial division, Taylor shifts by Fraction
+synthetic division, and mod-p factor shapes by exhaustive root search or trial division.  Good
 primes are decided from the resultant-based discriminant, where the library
 decides them from the reduction mod p.
 """
@@ -89,6 +89,18 @@ def extreme_point_hull(points):
     ]
 
 
+def fraction_shift(f: Poly, mu) -> Poly:
+    """f(x - mu) by repeated synthetic division in Fractions, one
+    multiply-add per step."""
+    t = -Fraction(mu)  # f(x - mu) = f(x + t)
+    b = list(f.coeffs)
+    n = len(b)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            b[j] += t * b[j + 1]
+    return Poly.from_coeffs(b)
+
+
 def is_good_prime_by_discriminant(f: Poly, p: int) -> bool:
     """p is good for f iff it divides neither the leading numerator, nor any
     coefficient denominator, nor disc(f)."""
@@ -106,6 +118,26 @@ def trial_division_is_prime(m: int) -> bool:
             return False
         d += 1
     return True
+
+
+def is_prime_factor_set(m, ps):
+    """True iff ps is exactly the set of primes dividing m != 0, each
+    member's primality decided by trial division."""
+    m = abs(m)
+    for p in ps:
+        if not trial_division_is_prime(p) or m % p:
+            return False
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def lucas_lehmer(q):
+    """2^q - 1 is prime, for an odd prime q (the Lucas-Lehmer test)."""
+    m, s = (1 << q) - 1, 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % m
+    return s == 0
 
 
 def low_degree_factor_degrees(int_coeffs, p):

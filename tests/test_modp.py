@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 import glpgalois
-from glpgalois import cli, polys
+from glpgalois import cli, modp, polys
 from glpgalois.errors import BadPrimeError, DomainError
 from glpgalois.glp import GlpParams, classify
 from glpgalois.modp import (
@@ -88,6 +88,79 @@ class TestGoodPrime:
         assert classify(GlpParams(9, 5, 3)).certificate.irreducibility_basis == "degree_set_filter"
         assert cli.main(["frobenius", "--poly", "1,0,1", "--frobenius-samples", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "verdict=contains-odd-permutation"
+
+
+class TestKeptReductions:
+    """good_primes accepts a prime by reducing f mod p, and factor_degrees on
+    the same Poly object and prime uses that reduction instead of another."""
+
+    F = "3,-1,0,2,0,1"  # disc 384005 = 5 * 76801: 5 is the one bad prime below 11
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        monkeypatch.setattr(modp, "_ACCEPTED", {})  # none left by other tests
+        calls = []
+        original = modp._good_reduction
+
+        def counted(f, p):
+            calls.append((f, p))
+            return original(f, p)
+
+        monkeypatch.setattr(modp, "_good_reduction", counted)
+        return calls
+
+    def test_eight_samples_cost_eight_reductions(self, reductions):
+        f = parse_poly(self.F)
+        ps = list(islice(good_primes(f), 8))
+        assert ps == [2, 3, 7, 11, 13, 17, 19, 23]
+        rejected = 1  # 5
+        assert len(reductions) == 8 + rejected
+        samples = [factor_degrees(f, p) for p in ps]
+        assert len(reductions) == 8 + rejected
+        # and the same cycle types as reductions made afresh
+        fresh = parse_poly(self.F)
+        assert samples == [factor_degrees(fresh, p) for p in ps]
+        assert len(reductions) == 16 + rejected
+
+    def test_equal_but_distinct_poly_reduces_anew(self, reductions):
+        f, twin = parse_poly(self.F), parse_poly(self.F)
+        assert f == twin and f is not twin
+        ps = list(islice(good_primes(f), 3))
+        before = len(reductions)
+        assert [factor_degrees(twin, p) for p in ps] == [factor_degrees(f, p) for p in ps]
+        assert len(reductions) == before + 3
+
+    def test_interleaved_generators(self, reductions):
+        f, g = parse_poly(self.F), parse_poly("1,0,1")
+        gf, gg = good_primes(f), good_primes(g)
+        pairs = [(next(gf), next(gg)) for _ in range(6)]
+        before = len(reductions)
+        for pf, pg in pairs:
+            assert factor_degrees(f, pf) == factor_degrees(parse_poly(self.F), pf)
+            assert factor_degrees(g, pg) == factor_degrees(parse_poly("1,0,1"), pg)
+        # one fresh reduction per comparison, none for the accepted primes
+        assert len(reductions) == before + 12
+
+    def test_bad_prime_still_raises(self, reductions):
+        f = parse_poly(self.F)
+        list(islice(good_primes(f), 4))  # 2, 3, 7, 11; 5 was rejected
+        with pytest.raises(BadPrimeError, match="5 is not a good prime"):
+            factor_degrees(f, 5)
+        with pytest.raises(BadPrimeError, match="9 is not prime"):
+            factor_degrees(f, 9)
+
+    def test_reduction_used_once(self, reductions):
+        f = parse_poly(self.F)
+        assert next(good_primes(f)) == 2
+        first = factor_degrees(f, 2)
+        before = len(reductions)
+        assert factor_degrees(f, 2) == first
+        assert len(reductions) == before + 1
+
+    def test_kept_reductions_are_bounded(self, reductions):
+        f = parse_poly(self.F)
+        for p in islice(good_primes(f), 3 * modp._ACCEPTED_LIMIT):
+            assert len(modp._ACCEPTED) <= modp._ACCEPTED_LIMIT
 
 
 class TestFactorDegrees:

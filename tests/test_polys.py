@@ -14,7 +14,7 @@ from glpgalois.polys import (
     resultant,
 )
 
-from oracles import sylvester_resultant
+from oracles import fraction_shift, sylvester_resultant
 
 
 def rand_poly(rng, max_deg=6, span=20, rational=False):
@@ -86,6 +86,23 @@ class TestShift:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             Poly(()).shift(1)
+
+    @pytest.mark.parametrize("mu", [0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3),
+                                    Fraction(-123456789, 10**15 + 37)])
+    def test_matches_fraction_synthetic_division(self, mu):
+        # the integer shift against the Fraction reference, degrees 0..20,
+        # integer and rational coefficients, exactly equal coefficient by
+        # coefficient
+        rng = random.Random(f"shift/{mu}")
+        for deg in range(21):
+            for dens in ((1,), (1, 2, 3, 7, 10**9 + 7)):
+                coeffs = [Fraction(rng.randint(-10**6, 10**6), rng.choice(dens))
+                          for _ in range(deg + 1)]
+                coeffs[-1] = coeffs[-1] or Fraction(1, dens[-1])
+                f = Poly.from_coeffs(coeffs)
+                g = f.shift(mu)
+                assert g.coeffs == fraction_shift(f, mu).coeffs, (f, mu)
+                assert all(type(c) is Fraction for c in g.coeffs)
 
 
 class TestPrimitiveScale:

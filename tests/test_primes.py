@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from glpgalois import cli, primes
 from glpgalois.errors import BadPrimeError, DomainError
 from glpgalois.polys import parse_poly, poly_from_coeffs
 from glpgalois.primes import (
@@ -15,7 +16,7 @@ from glpgalois.primes import (
 )
 from glpgalois.newton import newton_polygon
 
-from oracles import trial_division_is_prime
+from oracles import is_prime_factor_set, lucas_lehmer, trial_division_is_prime
 
 
 class TestIsPrime:
@@ -135,3 +136,68 @@ class TestCandidatePrimes:
                 assert len(np.segments) == 1
                 assert np.segments[0].slope == 0
             checked += 1
+
+
+class TestPrimeFactors:
+    """Each small prime is tried once; a cofactor left when p^2 > m is prime,
+    one left after every small prime is prime below 2^32, and above it is
+    tested by Miller-Rabin and split by rho."""
+
+    @pytest.mark.parametrize("m", [
+        65521**2,  # the last small prime squared: the cofactor 1 is no prime
+        65521**3,
+        65537**2,  # a square beyond every small prime, split by rho
+        65537 * 65539,
+        4294967291,  # the largest prime below 2^32
+        65521 * 4294967291,
+        (2**31 - 1) ** 2,
+        2 * 3 * 65521 * 65537,
+        1, -1, 2, -2, 4,
+    ])
+    def test_boundaries(self, m):
+        assert is_prime_factor_set(m, prime_factors(m)), m
+
+    def test_mersenne_61(self):
+        assert lucas_lehmer(61)
+        assert prime_factors(2**61 - 1) == {2**61 - 1}
+        assert prime_factors(-3 * (2**61 - 1)) == {3, 2**61 - 1}
+
+    def test_small_values(self):
+        # the tiny k*mu + lam of the GLP atlas
+        for m in range(-2000, 2001):
+            if m:
+                assert is_prime_factor_set(m, prime_factors(m)), m
+
+    def test_random_products(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            ps = [rng.choice(SMALL_PRIMES[-50:] + [65537, 65539, 65543, 2**31 - 1])
+                  for _ in range(rng.randint(1, 3))]
+            m = rng.choice([1, -1]) * rng.randint(1, 50)
+            for p in ps:
+                m *= p ** rng.randint(1, 2)
+            assert is_prime_factor_set(m, prime_factors(m)), m
+
+    def test_zero_rejected(self):
+        with pytest.raises(DomainError):
+            prime_factors(0)
+
+
+class TestRhoBudget:
+    # a 39-digit semiprime: rho would need about 10^9.5 steps
+    N = 10000000000000000051 * 30000000000000000041
+
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(primes, "RHO_BUDGET", 2000)
+        with pytest.raises(DomainError, match="no factor found in 2000 Pollard rho steps"):
+            prime_factors(self.N)
+        # within the budget the split is found
+        assert prime_factors(1000003 * 1000033) == {1000003, 1000033}
+
+    @pytest.mark.parametrize("argv", [["index"], ["certify"], ["certify", "--json"]])
+    def test_index_and_certify_exit_1(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(primes, "RHO_BUDGET", 2000)
+        assert cli.main([*argv, f"--poly={self.N},3,0,5,1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cannot factor ") and out.err.count("\n") == 1
