@@ -21,7 +21,6 @@ from .glp import (
     glp_normalized,
     is_rational_square,
     is_schur_square,
-    normalized_discriminant,
     schur_discriminant,
 )
 from .modp import (
@@ -38,7 +37,6 @@ from .newton import (
     newton_index,
     newton_polygon,
     single_slope_irreducibility_evidence,
-    strip_x_powers,
 )
 from .polys import (
     Poly,
@@ -83,7 +81,6 @@ __all__ = [
     "lemma_key_check",
     "newton_index",
     "newton_polygon",
-    "normalized_discriminant",
     "ord_p",
     "parity_evidence",
     "parse_poly",
@@ -94,5 +91,4 @@ __all__ = [
     "resultant",
     "schur_discriminant",
     "single_slope_irreducibility_evidence",
-    "strip_x_powers",
 ]

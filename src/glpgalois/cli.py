@@ -26,7 +26,7 @@ from .glp import (
     is_rational_square,
     schur_discriminant,
 )
-from .modp import CycleType, factor_degrees, good_primes, parity_evidence
+from .modp import factor_degrees, good_primes, parity_evidence
 from .newton import newton_index, newton_polygon, polygon_to_dict
 from .polys import discriminant, parse_poly
 
@@ -38,54 +38,48 @@ def _parse_fraction(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational {text!r}") from None
 
 
-def _cmd_np(args) -> int:
-    f = parse_poly(args.poly)
-    np_ = newton_polygon(f, args.prime)
-    if args.json:
-        print(json.dumps(polygon_to_dict(np_), sort_keys=True))
-    else:
-        for s in np_.segments:
-            print(
-                f"slope={s.slope} length={s.length} "
-                f"from=({s.start[0]},{s.start[1]}) to=({s.end[0]},{s.end[1]})"
-            )
-        print("vertices: " + " ".join(f"({x},{y})" for x, y in np_.vertices))
+def _print(args, payload: dict, lines: list[str]) -> int:
+    """Print a subcommand's result: its payload as one JSON line under
+    --json, else its text lines."""
+    print(_json_line(payload) if args.json else "\n".join(lines))
     return 0
+
+
+def _json_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _cmd_np(args) -> int:
+    np_ = newton_polygon(parse_poly(args.poly), args.prime)
+    lines = [
+        f"slope={s.slope} length={s.length} "
+        f"from=({s.start[0]},{s.start[1]}) to=({s.end[0]},{s.end[1]})"
+        for s in np_.segments
+    ]
+    lines.append("vertices: " + " ".join(f"({x},{y})" for x, y in np_.vertices))
+    return _print(args, polygon_to_dict(np_), lines)
 
 
 def _cmd_index(args) -> int:
     report = newton_index(parse_poly(args.poly))
-    if args.json:
-        payload = {
-            "index": report.index,
-            "witnesses": {str(p): [str(s) for s in sl] for p, sl in report.witnesses.items()},
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"index={report.index}")
-        for p in sorted(report.witnesses):
-            print(f"p={p} slopes=" + ",".join(str(s) for s in report.witnesses[p]))
-    return 0
+    payload = {
+        "index": report.index,
+        "witnesses": {str(p): [str(s) for s in sl] for p, sl in report.witnesses.items()},
+    }
+    lines = [f"index={report.index}"]
+    lines += [f"p={p} slopes=" + ",".join(str(s) for s in report.witnesses[p])
+              for p in sorted(report.witnesses)]
+    return _print(args, payload, lines)
 
 
 def _cmd_certify(args) -> int:
     f = parse_poly(args.poly)
     shifts = [_parse_fraction(s) for s in args.shifts.split(",")]
     basis = ASSUMED if args.assume_irreducible else None
-    cert = certify_large_galois(f, shifts=shifts, irreducibility=basis)
-    payload = certificate_to_dict(cert)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in ("verdict", "n", "shift", "valuation_prime", "slope",
-                    "window_prime", "newton_index", "irreducibility_basis"):
-            print(f"{key}={payload[key]}")
-    return 0
-
-
-def _cycle_type_line(ct: CycleType) -> str:
-    parity = "even" if ct.is_even else "odd"
-    return f"p={ct.prime} type=[{','.join(str(d) for d in ct.degrees)}] parity={parity}"
+    payload = certificate_to_dict(certify_large_galois(f, shifts=shifts, irreducibility=basis))
+    keys = ("verdict", "n", "shift", "valuation_prime", "slope",
+            "window_prime", "newton_index", "irreducibility_basis")
+    return _print(args, payload, [f"{key}={payload[key]}" for key in keys])
 
 
 def _cmd_frobenius(args) -> int:
@@ -97,40 +91,29 @@ def _cmd_frobenius(args) -> int:
             raise DomainError("need at least one sample")
         ps = list(islice(good_primes(f), args.frobenius_samples))
         samples = [factor_degrees(f, p) for p in ps]
-    verdict = parity_evidence(samples)
-    if args.json:
-        payload = {
-            "samples": [
-                {
-                    "p": ct.prime,
-                    "type": list(ct.degrees),
-                    "parity": "even" if ct.is_even else "odd",
-                }
-                for ct in samples
-            ],
-            "verdict": verdict,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for ct in samples:
-            print(_cycle_type_line(ct))
-        print(f"verdict={verdict}")
-    return 0
+    payload = {
+        "samples": [
+            {"p": ct.prime, "type": list(ct.degrees), "parity": "even" if ct.is_even else "odd"}
+            for ct in samples
+        ],
+        "verdict": parity_evidence(samples),
+    }
+    lines = [
+        f"p={s['p']} type=[{','.join(str(d) for d in s['type'])}] parity={s['parity']}"
+        for s in payload["samples"]
+    ]
+    lines.append(f"verdict={payload['verdict']}")
+    return _print(args, payload, lines)
 
 
 def _cmd_glp_classify(args) -> int:
     params = GlpParams.from_alpha(args.n, _parse_fraction(args.alpha))
-    result = classify(params, assume_irreducible=args.assume_irreducible)
-    payload = classification_to_dict(result)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in ("n", "alpha", "group", "disc_is_square", "criterion_prime",
-                    "ell", "irreducibility_basis"):
-            print(f"{key}={payload[key]}")
-        for key, value in payload["certificate"].items():
-            print(f"certificate.{key}={value}")
-    return 0
+    payload = classification_to_dict(classify(params, assume_irreducible=args.assume_irreducible))
+    keys = ("n", "alpha", "group", "disc_is_square", "criterion_prime", "ell",
+            "irreducibility_basis")
+    lines = [f"{key}={payload[key]}" for key in keys]
+    lines += [f"certificate.{key}={value}" for key, value in payload["certificate"].items()]
+    return _print(args, payload, lines)
 
 
 def _rational_text(q: Fraction) -> str:
@@ -149,32 +132,22 @@ def _rational_text(q: Fraction) -> str:
 def _cmd_glp_disc(args) -> int:
     alpha = _parse_fraction(args.alpha)
     delta = schur_discriminant(args.n, alpha)
-    square = is_rational_square(delta)
-    verified: Optional[bool] = None
+    text = _rational_text(delta)
+    payload = {"n": args.n, "alpha": str(alpha), "discriminant": text,
+               "square": is_rational_square(delta)}
+    line = f"{text} square={str(payload['square']).lower()}"
     if args.verify_resultant:
         params = GlpParams.from_alpha(args.n, alpha)
-        sign = (-1) ** args.n
-        monic = glp(params) * (sign * math.factorial(args.n))
-        verified = discriminant(monic) == delta
-    if args.json:
-        payload = {"n": args.n, "alpha": str(alpha), "discriminant": _rational_text(delta),
-                   "square": square}
-        if verified is not None:
-            payload["verified"] = verified
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        line = f"{_rational_text(delta)} square={str(square).lower()}"
-        if verified is not None:
-            line += f" verified={str(verified).lower()}"
-        print(line)
-    return 0
+        monic = glp(params) * ((-1) ** args.n * math.factorial(args.n))
+        payload["verified"] = discriminant(monic) == delta
+        line += f" verified={str(payload['verified']).lower()}"
+    return _print(args, payload, [line])
 
 
 def _scan_one(task: tuple[int, str, bool]) -> str:
     n, alpha, assume = task
     params = GlpParams.from_alpha(n, Fraction(alpha))
-    return json.dumps(classification_to_dict(classify(params, assume_irreducible=assume)),
-                      sort_keys=True)
+    return _json_line(classification_to_dict(classify(params, assume_irreducible=assume)))
 
 
 def _cmd_glp_scan(args) -> int:
@@ -259,8 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each `--opt -1/2` written `--opt=-1/2`.  argparse reads a
+    value that starts with '-' as an option unless it is a plain negative
+    number, so a negative rational or coefficient list needs the `=` form."""
+    out: list[str] = []
+    for arg in argv:
+        last = out[-1] if out else ""
+        after_option = last.startswith("--") and last != "--" and "=" not in last
+        if after_option and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{last}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except DomainError as exc:

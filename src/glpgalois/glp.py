@@ -116,16 +116,10 @@ class Classification(Record):
 
 
 def glp(params: GlpParams) -> Poly:
-    """L_n^(alpha) with exact rational coefficients."""
-    n, a = params.n, params.alpha
-    coeffs = []
-    for j in range(n + 1):
-        binom = Fraction(1)
-        for i in range(j + 1, n + 1):
-            binom *= a + i
-        binom /= math.factorial(n - j)
-        coeffs.append((-1) ** j * binom / math.factorial(j))
-    return Poly.from_coeffs(coeffs)
+    """L_n^(alpha) with exact rational coefficients: glp_normalized(params) is
+    f(x) = mu^n n! L_n^(alpha)(-x/mu), so L_n^(alpha)(x) = f(-mu x) / (mu^n n!)."""
+    n, mu = params.n, params.mu
+    return glp_normalized(params).scale_x(-mu) * Fraction(1, mu**n * math.factorial(n))
 
 
 def normalized_coefficient_products(params: GlpParams) -> list[int]:
@@ -233,13 +227,6 @@ def _product_tree(terms: list[int]) -> int:
     return terms[0] if terms else 1
 
 
-def normalized_discriminant(params: GlpParams) -> Fraction:
-    """Discriminant of glp_normalized: the x -> -x/mu rescaling multiplies the
-    Schur product by mu^(n(n-1))."""
-    n = params.n
-    return params.mu ** (n * (n - 1)) * schur_discriminant(n, params.alpha)
-
-
 def is_schur_square(params: GlpParams) -> bool:
     """is_rational_square(schur_discriminant(n, alpha)) from the n small
     factors.  Delta * mu^(n(n-1)) = mu^(n(n-1)/2) prod_j j^j (j*mu + lam)^(j-1)
@@ -276,8 +263,6 @@ def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
     if lo > n - 3:
         return None
     for p in reversed(primes_in_ap_interval(lam, mu, lo, n - 3)):
-        if p <= 2:  # the lemma needs an odd prime; e.g. mu=3, alpha=-10/3, n=5 gives 2
-            continue
         drops = [_multiplicity(k * mu + lam, p) for k in range(1, n + 1)]
         if _lemma_key_holds(n, p, _suffix_sums(drops)):
             return p, (p - lam) // mu

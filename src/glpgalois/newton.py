@@ -13,7 +13,7 @@ a `NewtonIndexReport` holds the vertices at every candidate prime, and
 of f's coefficient valuations, and `glp` hulls it builds from the small
 factors of the GLP coefficients.  The `NewtonPolygon` and `Segment` records,
 with every point and a `Fraction` slope per segment, are built only by
-`newton_polygon`.
+`newton_polygon`.  Both check convexity by the same integer walk.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ class NewtonPolygon(Record):
         self._set("points", points)
         self._set("vertices", vertices)
         self._set("segments", segments)
-        # Convexity and endpoint invariants; an explicit raise survives `python -O`.
-        slopes = self.slopes
+        # the hull check shared with index_report, then the endpoints and the
+        # segments; explicit raises, which survive `python -O`
+        _ramified_slopes(prime, vertices)
         if not (
-            all(a < b for a, b in zip(slopes, slopes[1:]))
-            and self.vertices[0] == self.points[0]
-            and self.vertices[-1] == self.points[-1]
-            and sum(s.length for s in self.segments) == self.points[-1][0] - self.points[0][0]
+            vertices[0] == points[0] and vertices[-1] == points[-1]
+            and segments == _segments(vertices)
         ):
             raise DomainError("Newton polygon is not a convex hull of its points")
 
@@ -125,25 +124,39 @@ def _lower_hull(points: list[Point]) -> list[Point]:
 def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
     """The Newton polygon at p of the points (j, height), ascending in j: their
     lower convex hull, checked by the NewtonPolygon record."""
-    vertices = _lower_hull(points)
-    segments = tuple(
-        Segment(
-            slope=Fraction(b[1] - a[1], b[0] - a[0]),
-            length=b[0] - a[0],
-            start=a,
-            end=b,
-        )
+    vertices = tuple(_lower_hull(points))
+    return NewtonPolygon(p, tuple(points), vertices, _segments(vertices))
+
+
+def _segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
+    return tuple(
+        Segment(slope=Fraction(b[1] - a[1], b[0] - a[0]), length=b[0] - a[0], start=a, end=b)
         for a, b in zip(vertices, vertices[1:])
     )
-    return NewtonPolygon(prime=p, points=tuple(points), vertices=tuple(vertices), segments=segments)
+
+
+def _ramified_slopes(p: int, hull: Sequence[Point]) -> list[Fraction]:
+    """The slopes of denominator > 1 along a hull, from each segment's integer
+    (rise, run); a denominator is run / gcd(rise, run), and only these slopes
+    become a `Fraction`.  Raises DomainError unless x and the slopes strictly
+    increase from left to right, checked on integer cross products."""
+    (x0, y0), ramified = hull[0], []
+    rise, run = -1, 0  # before the first segment: any slope is larger
+    for x1, y1 in hull[1:]:
+        dy, dx = y1 - y0, x1 - x0
+        if dx <= 0 or dy * run <= rise * dx:
+            raise DomainError(f"hull at {p} is not convex from left to right")
+        rise, run, x0, y0 = dy, dx, x1, y1
+        if run // math.gcd(rise, run) > 1:
+            ramified.append(Fraction(rise, run))
+    return ramified
 
 
 def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
     denominators, with the slopes of denominator > 1 as each prime's witnesses.
-    A segment's denominator is run / gcd(rise, run); only a witness slope
-    becomes a `Fraction`.  Every hull must run from x = 0 to the same last x
-    with strictly increasing slopes, checked on integer cross products."""
+    Every hull must run from x = 0 to the same last x with strictly
+    increasing slopes."""
     index = 1
     witnesses: dict[int, list[Fraction]] = {}
     vertices: dict[int, tuple[Point, ...]] = {}
@@ -151,22 +164,15 @@ def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     for p, hull in hulls.items():
         if len(hull) < 2 or hull[0][0] != 0:
             raise DomainError(f"hull at {p} does not start a segment at x = 0")
-        (x0, y0), ramified = hull[0], []
-        rise, run = -1, 0  # before the first segment: any slope is larger
-        for x1, y1 in hull[1:]:
-            dy, dx = y1 - y0, x1 - x0
-            if dx <= 0 or dy * run <= rise * dx:
-                raise DomainError(f"hull at {p} is not convex from left to right")
-            rise, run, x0, y0 = dy, dx, x1, y1
-            denominator = run // math.gcd(rise, run)
-            if denominator > 1:
-                ramified.append(Fraction(rise, run))
-                index = math.lcm(index, denominator)
-        end = x0 if end is None else end
-        if x0 != end:
-            raise DomainError(f"hull at {p} ends at x = {x0}, not at {end}")
+        ramified = _ramified_slopes(p, hull)
+        x = hull[-1][0]
+        end = x if end is None else end
+        if x != end:
+            raise DomainError(f"hull at {p} ends at x = {x}, not at {end}")
         if ramified:
             witnesses[p] = ramified
+            for slope in ramified:
+                index = math.lcm(index, slope.denominator)
         vertices[p] = tuple(hull)
     return NewtonIndexReport(index=index, witnesses=witnesses, vertices=vertices)
 

@@ -1,10 +1,11 @@
 """Primality, p-adic valuations, and prime enumeration in progressions.
 
-`is_prime` is exact trial division below 2^32 and a deterministic
-Miller-Rabin witness set (the first twelve primes) above, which is proven
-correct for all inputs below 3.317e24 -- far beyond anything this package
-produces.  Larger inputs fall back to the same witnesses as a strong
-pseudoprime test and are documented as high-confidence rather than proven.
+`is_prime` reads a sieve below 2^16 and runs Miller-Rabin over the first
+thirteen primes as witnesses above it.  No composite below psi_13 =
+3317044064679887385961981 is a strong pseudoprime to all thirteen
+(Sorenson and Webster, 2017), so the test is exact below it -- far beyond
+anything this package produces.  Larger inputs get the same witnesses as a
+strong pseudoprime test, high-confidence rather than proven.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .errors import BadPrimeError, DomainError
 from .polys import Poly
 
 _SIEVE_LIMIT = 1 << 16
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Pollard rho steps per split: about 47 times the most (210,593) that an
 # input of glpbench's generic_certify or cli_batch corpora needed over 20
 # seeds, shifts included; see _pollard_rho
@@ -56,23 +56,10 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _is_prime_without_small_factor(m: int) -> bool:
-    """Primality of an m >= 2^16 with no prime factor below 2^16: below 2^32
-    m is then prime, since 65537^2 > 2^32; above, Miller-Rabin decides."""
-    return m < 1 << 32 or all(_strong_probable_prime(m, a) for a in _MR_WITNESSES)
-
-
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
     if m < _SIEVE_LIMIT:
-        return _SIEVE[m] == 1
-    for p in SMALL_PRIMES:
-        if p * p > m:
-            return True
-        if m % p == 0:
-            return False
-    return _is_prime_without_small_factor(m)
+        return m >= 2 and _SIEVE[m] == 1
+    return all(_strong_probable_prime(m, a) for a in _MR_WITNESSES)
 
 
 def primes() -> Iterator[int]:
@@ -142,7 +129,7 @@ def _add_large_prime_factors(m: int, out: set[int]) -> None:
     """Add the primes of an m > 1 with no prime factor below 2^16 to out.
     The divisors that rho finds have none either, so they are not divided
     by the small primes again."""
-    if _is_prime_without_small_factor(m):
+    if is_prime(m):
         out.add(m)
         return
     d = _pollard_rho(m)

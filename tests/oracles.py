@@ -6,9 +6,11 @@ all-pairs gift wrap or by testing each point against every segment instead of
 a monotone chain, primality by trial division, Taylor shifts by Fraction
 synthetic division, and mod-p factor shapes by exhaustive root search or trial division.  Good
 primes are decided from the resultant-based discriminant, where the library
-decides them from the reduction mod p.
+decides them from the reduction mod p.  Laguerre polynomials come from their
+defining sum, where the library rescales its integral form.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -99,6 +101,19 @@ def fraction_shift(f: Poly, mu) -> Poly:
         for j in range(n - 2, i - 1, -1):
             b[j] += t * b[j + 1]
     return Poly.from_coeffs(b)
+
+
+def laguerre_by_definition(n: int, alpha: Fraction) -> Poly:
+    """L_n^(alpha) = sum_j binom(n+alpha, n-j) (-x)^j / j!, each binomial a
+    product of Fractions."""
+    coeffs = []
+    for j in range(n + 1):
+        binom = Fraction(1)
+        for i in range(j + 1, n + 1):
+            binom *= alpha + i
+        binom /= math.factorial(n - j)
+        coeffs.append((-1) ** j * binom / math.factorial(j))
+    return Poly.from_coeffs(coeffs)
 
 
 def is_good_prime_by_discriminant(f: Poly, p: int) -> bool:

@@ -12,10 +12,25 @@ from glpgalois.cli import main
 from glpgalois.glp import schur_discriminant
 
 
+PSI_12 = 318665857834031151167461
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["glp-classify", "--n", "9", "--alpha", "-1/2"],
+    ["index", "--poly", "-2,0,1"],
+    ["certify", "--poly", "1,2,3,4,5,6,7", "--shifts", "-1/2,1"],
+])
+def test_negative_value_as_a_separate_argument(capsys, argv):
+    # argparse reads "-1/2" as an option; the `--opt=value` form is the reference
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *joined)[0] == 0
+    assert run(capsys, *argv) == run(capsys, *joined)
 
 
 class TestNp:
@@ -59,6 +74,13 @@ class TestIndex:
         _, out, _ = run(capsys, "index", "--poly", "6,18,9,1")
         assert out.splitlines() == ["index=6", "p=2 slopes=-1/2", "p=3 slopes=-1/3"]
 
+    def test_strong_pseudoprime_constant_term(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+        code, out, _ = run(capsys, "index", f"--poly={PSI_12},0,1")
+        assert (code, out.splitlines()) == (
+            0, ["index=2", "p=399165290221 slopes=-1/2", "p=798330580441 slopes=-1/2"]
+        )
+
 
 class TestCertify:
     def test_golden(self, capsys):
@@ -93,6 +115,10 @@ class TestFrobenius:
             "p=5 type=[1,1] parity=even",
             "verdict=all-even-so-far",
         ]
+
+    def test_strong_pseudoprime_is_not_a_prime(self, capsys):
+        code, out, err = run(capsys, "frobenius", "--poly=1,0,1", "--prime", str(PSI_12))
+        assert (code, out, err) == (1, "", f"error: {PSI_12} is not prime\n")
 
     def test_samples_json(self, capsys):
         _, out, _ = run(

@@ -29,7 +29,6 @@ from glpgalois.glp import (
     is_rational_square,
     is_schur_square,
     normalized_coefficient_products,
-    normalized_discriminant,
     schur_discriminant,
 )
 from glpgalois.modp import good_primes
@@ -37,7 +36,7 @@ from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
 from glpgalois.primes import ord_p
 
-from oracles import extreme_point_hull
+from oracles import extreme_point_hull, laguerre_by_definition
 
 glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
 certify_module = importlib.import_module("glpgalois.certify")
@@ -107,6 +106,18 @@ class TestNormalized:
             )
             assert rescaled == glp_normalized(params)
 
+    def test_matches_the_definition(self):
+        # L_n^(alpha) = sum_j binom(n+alpha, n-j) (-x)^j / j!, term by term
+        rng = random.Random(79)
+        for _ in range(60):
+            mu = rng.randint(1, 9)
+            n = rng.randint(1, 40)
+            lam = rng.choice([l for l in range(-3 * n * mu, 30 * mu + 1) if math.gcd(l, mu) == 1])
+            if mu == 1 and -n <= lam <= -1:
+                continue
+            params = GlpParams(n, lam, mu)
+            assert glp(params) == laguerre_by_definition(n, params.alpha), params
+
 
 class TestSchurDiscriminant:
     def test_examples(self):
@@ -135,9 +146,11 @@ class TestSchurDiscriminant:
                 assert discriminant(monic) == schur_discriminant(n, alpha)
 
     def test_normalized_discriminant(self):
+        # the x -> -x/mu rescaling multiplies the Schur product by mu^(n(n-1))
         for n, lam, mu in [(2, 0, 1), (2, 1, 2), (3, 0, 1), (4, 1, 3)]:
             params = GlpParams(n, lam, mu)
-            assert discriminant(glp_normalized(params)) == normalized_discriminant(params)
+            expected = mu ** (n * (n - 1)) * schur_discriminant(n, params.alpha)
+            assert discriminant(glp_normalized(params)) == expected
 
 
 class TestSchurSquare:

@@ -42,6 +42,31 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**67 - 1)  # = 193707721 * 761838257287
 
+    # the least strong pseudoprimes to the first 4, 5, 6, 7 (and 8), and 9 (to
+    # 11) prime bases; psi_12 passes all twelve bases 2..37
+    STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                           3825123056546413051]
+    PSI_12 = 318665857834031151167461
+
+    def test_strong_pseudoprimes(self):
+        for m in self.STRONG_PSEUDOPRIMES:
+            assert not is_prime(m), m
+        assert not is_prime(self.PSI_12)
+        assert is_prime(399165290221) and is_prime(798330580441)
+        assert prime_factors(self.PSI_12) == {399165290221, 798330580441}
+
+    def test_trial_division_oracle_below_2_32(self):
+        # the band above the sieve that trial division once covered: odd
+        # numbers, and products of two primes above 2^8, which no small prime
+        # divides
+        rng = random.Random(89)
+        big = [p for p in SMALL_PRIMES if p > 1 << 8]
+        sample = [rng.randrange(1 << 16, 1 << 32) | 1 for _ in range(300)]
+        sample += [rng.choice(big) * rng.choice(big) for _ in range(100)]
+        sample += [65521 * 65521, 65537, (1 << 32) - 5]
+        for m in sample:
+            assert is_prime(m) == trial_division_is_prime(m), m
+
 
 class TestOrdP:
     def test_examples(self):
