@@ -1,94 +1,73 @@
 """Exact-arithmetic Newton polygons, Newton indices, and Galois group
 certificates, with an end-to-end A_n / S_n classifier for Generalized
-Laguerre Polynomials."""
+Laguerre Polynomials.
 
-from .certify import (
-    GaloisCertificate,
-    certificate_to_dict,
-    certify_large_galois,
-    jordan_window_primes,
-    lemma_key_check,
-)
-from .errors import BadPrimeError, DomainError, ZeroPolynomialError
-from .glp import (
-    Classification,
-    GlpParams,
-    classification_to_dict,
-    classify,
-    find_criterion_prime,
-    glp,
-    glp_newton_index,
-    glp_normalized,
-    is_rational_square,
-    is_schur_square,
-    schur_discriminant,
-)
-from .modp import (
-    CycleType,
-    degree_set_filter,
-    factor_degrees,
-    good_primes,
-    is_good_prime,
-    parity_evidence,
-)
-from .newton import (
-    NewtonIndexReport,
-    NewtonPolygon,
-    newton_index,
-    newton_polygon,
-    single_slope_irreducibility_evidence,
-)
-from .polys import (
-    Poly,
-    discriminant,
-    parse_poly,
-    poly_from_coeffs,
-    primitive_scale,
-    render_poly,
-    resultant,
-)
-from .primes import candidate_primes, is_prime, ord_p, primes_in_ap_interval
+The namespace is lazy (PEP 562): `import glpgalois` loads no submodule, and
+a public name imports its home module on first access and is then cached
+here.  A submodule is also reached as an attribute, e.g. `glpgalois.modp`;
+`glpgalois.glp` is the module, and the function is `glpgalois.glp.glp`.
+"""
 
-__all__ = [
-    "BadPrimeError",
-    "Classification",
-    "CycleType",
-    "DomainError",
-    "GaloisCertificate",
-    "GlpParams",
-    "NewtonIndexReport",
-    "NewtonPolygon",
-    "Poly",
-    "ZeroPolynomialError",
-    "candidate_primes",
-    "certificate_to_dict",
-    "certify_large_galois",
-    "classification_to_dict",
-    "classify",
-    "degree_set_filter",
-    "discriminant",
-    "factor_degrees",
-    "find_criterion_prime",
-    "glp",
-    "glp_newton_index",
-    "glp_normalized",
-    "good_primes",
-    "is_good_prime",
-    "is_prime",
-    "is_rational_square",
-    "is_schur_square",
-    "jordan_window_primes",
-    "lemma_key_check",
-    "newton_index",
-    "newton_polygon",
-    "ord_p",
-    "parity_evidence",
-    "parse_poly",
-    "poly_from_coeffs",
-    "primes_in_ap_interval",
-    "primitive_scale",
-    "render_poly",
-    "resultant",
-    "schur_discriminant",
-    "single_slope_irreducibility_evidence",
-]
+# each public name and its home module, the one list of the public API
+_HOMES = {
+    "BadPrimeError": "errors",
+    "Classification": "glp",
+    "CycleType": "modp",
+    "DomainError": "errors",
+    "GaloisCertificate": "certify",
+    "GlpParams": "glp",
+    "NewtonIndexReport": "newton",
+    "NewtonPolygon": "newton",
+    "Poly": "polys",
+    "ZeroPolynomialError": "errors",
+    "candidate_primes": "primes",
+    "certificate_to_dict": "certify",
+    "certify_large_galois": "certify",
+    "classification_to_dict": "glp",
+    "classify": "glp",
+    "degree_set_filter": "modp",
+    "discriminant": "polys",
+    "factor_degrees": "modp",
+    "find_criterion_prime": "glp",
+    "glp_newton_index": "glp",
+    "glp_normalized": "glp",
+    "good_primes": "modp",
+    "is_good_prime": "modp",
+    "is_prime": "primes",
+    "is_rational_square": "glp",
+    "is_schur_square": "glp",
+    "jordan_window_primes": "certify",
+    "lemma_key_check": "certify",
+    "newton_index": "newton",
+    "newton_polygon": "newton",
+    "ord_p": "primes",
+    "parity_evidence": "modp",
+    "parse_poly": "polys",
+    "poly_from_coeffs": "polys",
+    "primes_in_ap_interval": "primes",
+    "primitive_scale": "polys",
+    "render_poly": "polys",
+    "resultant": "polys",
+    "schur_discriminant": "glp",
+    "single_slope_irreducibility_evidence": "newton",
+}
+_SUBMODULES = frozenset({"certify", "cli", "errors", "glp", "modp", "newton", "polys", "primes"})
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home or name}")
+    if home is None:
+        return module  # the import system has bound it here already
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -3,6 +3,9 @@
 Every subcommand has a human-readable mode and a `--json` mode carrying the
 same information.  All numeric parsing is exact (integers and a/b rationals);
 identical invocations produce byte-identical output.
+
+Each subcommand imports, inside its function, only the modules it runs, so
+that a start loads (and, without a bytecode cache, compiles) no others.
 """
 
 from __future__ import annotations
@@ -16,19 +19,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .certify import ASSUMED, certificate_to_dict, certify_large_galois
 from .errors import DomainError
-from .glp import (
-    GlpParams,
-    classification_to_dict,
-    classify,
-    glp,
-    is_rational_square,
-    schur_discriminant,
-)
-from .modp import factor_degrees, good_primes, parity_evidence
-from .newton import newton_index, newton_polygon, polygon_to_dict
-from .polys import discriminant, parse_poly
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -50,6 +41,9 @@ def _json_line(payload: dict) -> str:
 
 
 def _cmd_np(args) -> int:
+    from .newton import newton_polygon, polygon_to_dict
+    from .polys import parse_poly
+
     np_ = newton_polygon(parse_poly(args.poly), args.prime)
     lines = [
         f"slope={s.slope} length={s.length} "
@@ -61,6 +55,9 @@ def _cmd_np(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from .newton import newton_index
+    from .polys import parse_poly
+
     report = newton_index(parse_poly(args.poly))
     payload = {
         "index": report.index,
@@ -73,6 +70,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import ASSUMED, certificate_to_dict, certify_large_galois
+    from .polys import parse_poly
+
     f = parse_poly(args.poly)
     shifts = [_parse_fraction(s) for s in args.shifts.split(",")]
     basis = ASSUMED if args.assume_irreducible else None
@@ -83,6 +83,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
+    from .modp import factor_degrees, good_primes, parity_evidence
+    from .polys import parse_poly
+
     f = parse_poly(args.poly)
     if args.prime is not None:
         samples = [factor_degrees(f, args.prime)]
@@ -107,6 +110,8 @@ def _cmd_frobenius(args) -> int:
 
 
 def _cmd_glp_classify(args) -> int:
+    from .glp import GlpParams, classification_to_dict, classify
+
     params = GlpParams.from_alpha(args.n, _parse_fraction(args.alpha))
     payload = classification_to_dict(classify(params, assume_irreducible=args.assume_irreducible))
     keys = ("n", "alpha", "group", "disc_is_square", "criterion_prime", "ell",
@@ -130,6 +135,9 @@ def _rational_text(q: Fraction) -> str:
 
 
 def _cmd_glp_disc(args) -> int:
+    from .glp import GlpParams, glp, is_rational_square, schur_discriminant
+    from .polys import discriminant
+
     alpha = _parse_fraction(args.alpha)
     delta = schur_discriminant(args.n, alpha)
     text = _rational_text(delta)
@@ -145,6 +153,8 @@ def _cmd_glp_disc(args) -> int:
 
 
 def _scan_one(task: tuple[int, str, bool]) -> str:
+    from .glp import GlpParams, classification_to_dict, classify
+
     n, alpha, assume = task
     params = GlpParams.from_alpha(n, Fraction(alpha))
     return _json_line(classification_to_dict(classify(params, assume_irreducible=assume)))

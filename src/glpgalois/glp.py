@@ -37,7 +37,6 @@ from .certify import (
 )
 from ._record import Record
 from .errors import DomainError
-from .modp import degree_set_filter
 from .newton import NewtonIndexReport, _lower_hull, index_report
 from .polys import Poly
 from .primes import _multiplicity, prime_factors, primes, primes_in_ap_interval
@@ -278,6 +277,8 @@ def _irreducibility_evidence(
     for n >= 2, when p > n and p divides neither mu nor any j*mu + lam."""
     if report.single_slope:
         return SINGLE_SLOPE
+    from .modp import degree_set_filter  # only the filter loads modp
+
     n, lam, mu = params.n, params.lam, params.mu
     bad = mu * math.prod(range(2 * mu + lam, n * mu + lam + 1, mu)) if n > 1 else 1
     sample = list(islice((p for p in primes() if p > n and bad % p), _EVIDENCE_PRIME_BUDGET))

@@ -38,8 +38,9 @@ from glpgalois.primes import ord_p
 
 from oracles import extreme_point_hull, laguerre_by_definition
 
-glp_module = importlib.import_module("glpgalois.glp")  # the attribute glpgalois.glp is the function
+glp_module = importlib.import_module("glpgalois.glp")
 certify_module = importlib.import_module("glpgalois.certify")
+modp_module = importlib.import_module("glpgalois.modp")
 primes_module = importlib.import_module("glpgalois.primes")
 
 
@@ -328,7 +329,7 @@ class TestClassify:
             samples.append(primes_list)
             return set()
 
-        monkeypatch.setattr(glp_module, "degree_set_filter", record)
+        monkeypatch.setattr(modp_module, "degree_set_filter", record)
         no_single_slope = NewtonIndexReport(index=1, witnesses={}, vertices={})
         for n in range(2, 41):
             for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
