@@ -11,41 +11,40 @@ the squareness of the discriminant product Delta = prod_{j=2}^n j^j
 when the mod-p degree-set filter needs f itself, and Delta only on request.
 
 The polygon atlas holds each candidate prime's hull vertices and nothing
-else; the index and its witnesses need only those.  Every height of f's
-polygons is >= 0 and the last point is (n, 0), so a vertex is (n, 0) or a
-strict prefix minimum of the heights, and at p > n, where p divides at
-most one factor k*mu + lam, the vertices are known without a hull.
+else; the index and its witnesses need only those.  It is built from the
+drops {p: [(k, ord_p(k*mu + lam))]}, which also decide the criterion prime.
+At p <= n the heights h_j = ord_p(binom(n,j) c_j) are >= 0 and h_n = 0, so
+a vertex is (n, 0) or a strict prefix minimum, and h_j - h_(j-1) =
+ord_p(n-j+1) - ord_p(j) - ord_p(j*mu + lam) (Legendre) is nonzero only at
+multiples of p, at j = n+1 (mod p) and at the drops.  The atlas walks these
+events in order up to the first zero height and hulls each new minimum as it
+arrives: O(n/p + drops) steps per prime, not n + 1 heights.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
-from typing import Optional, Union
+from itertools import islice
+from typing import TYPE_CHECKING, Optional, Union
 
-from .certify import (
-    ASSUMED,
-    CONTAINS_AN,
-    DEGREE_SET_FILTER,
-    SINGLE_SLOPE,
-    GaloisCertificate,
-    _lemma_key_holds,
-    certificate_to_dict,
-    certify_from_reports,
-    jordan_window_primes,
-)
 from ._record import Record
 from .errors import DomainError
-from .newton import NewtonIndexReport, _lower_hull, index_report
 from .polys import Poly
-from .primes import _multiplicity, prime_factors, primes, primes_in_ap_interval
+from .primes import _multiplicity, prime_factors, primes
+
+if TYPE_CHECKING:  # certify and newton load only where classify uses them
+    from .certify import GaloisCertificate
+    from .newton import NewtonIndexReport
 
 GROUP_AN = "A_n"
 GROUP_SN = "S_n"
 GROUP_INCONCLUSIVE = "inconclusive"
 
 _EVIDENCE_PRIME_BUDGET = 10
+# the largest degree that a function looping over k = 1..n accepts; at
+# n = 10^5 the atlas and the squareness test each take a few seconds
+N_BUDGET = 100_000
 
 
 class GlpParams(Record):
@@ -102,6 +101,8 @@ class Classification(Record):
         self._set("ell", ell)
         self._set("params", params)
         if group in (GROUP_AN, GROUP_SN):
+            from .certify import CONTAINS_AN
+
             if certificate.verdict != CONTAINS_AN:
                 raise DomainError(f"group {group} claimed without a contains_An certificate")
             if discriminant_is_square != (group == GROUP_AN):
@@ -114,6 +115,12 @@ class Classification(Record):
         return schur_discriminant(self.params.n, self.params.alpha)
 
 
+def _check_effort(n: int) -> None:
+    """DomainError past N_BUDGET, which does not bound the mod-p filter on f."""
+    if n > N_BUDGET:
+        raise DomainError(f"degree {n} is over the effort budget N_BUDGET = {N_BUDGET}")
+
+
 def glp(params: GlpParams) -> Poly:
     """L_n^(alpha) with exact rational coefficients: glp_normalized(params) is
     f(x) = mu^n n! L_n^(alpha)(-x/mu), so L_n^(alpha)(x) = f(-mu x) / (mu^n n!)."""
@@ -123,6 +130,7 @@ def glp(params: GlpParams) -> Poly:
 
 def normalized_coefficient_products(params: GlpParams) -> list[int]:
     """c_j = prod_{k=j+1}^n (k*mu + lam) for j = 0..n (c_n = 1)."""
+    _check_effort(params.n)
     n, lam, mu = params.n, params.lam, params.mu
     c = [1] * (n + 1)
     for j in range(n - 1, -1, -1):
@@ -138,72 +146,55 @@ def glp_normalized(params: GlpParams) -> Poly:
 
 
 def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
-    """newton_index(glp_normalized(params)), hull for hull, from the n small
-    factors k*mu + lam instead of the coefficients binom(n,j) c_j.
+    """newton_index(glp_normalized(params)) from the n small factors k*mu + lam."""
+    _check_effort(params.n)
+    return _atlas(params.n, _drops(params))
 
-    The candidate primes are the primes of c_0 = prod_k (k*mu + lam).  At p
-    every height ord_p(binom(n,j) c_j) is >= 0 and the last point is (n, 0),
-    so the hull falls from (0, h_0) until it reaches height 0: every vertex is
-    (n, 0) or a strict prefix minimum of the heights, and the hull is taken
-    over those alone.  At p > n there is no hull to take: p does not divide
-    mu (lam/mu is in lowest terms), so it divides at most one factor, at
-    some k, since 1 <= k <= n < p; the heights are e = ord_p(k*mu + lam) for
-    j < k and 0 from k on, and the vertices are (0, e), (k, 0) and (n, 0)."""
+
+def _drops(params: GlpParams) -> dict[int, list[tuple[int, int]]]:
+    """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam."""
     n, lam, mu = params.n, params.lam, params.mu
-    drops: dict[int, list[tuple[int, int]]] = {}  # p -> [(k, ord_p(k*mu + lam))]
+    drops: dict[int, list[tuple[int, int]]] = {}
     for k in range(1, n + 1):
         factor = k * mu + lam
         for p in prime_factors(factor):
             drops.setdefault(p, []).append((k, _multiplicity(factor, p)))
+    return drops
+
+
+def _atlas(n: int, drops: dict[int, list[tuple[int, int]]]) -> NewtonIndexReport:
+    """The Newton index report of f from its drops.  At p > n, p does not
+    divide mu (lam/mu is in lowest terms), so it divides one factor, at some
+    k <= n < p: the heights are e = ord_p(k*mu + lam) for j < k and 0 from k
+    on, and the vertices are (0, e), (k, 0) and (n, 0)."""
+    from .newton import _hull_push, index_report
+
     hulls = {}
     for p in sorted(drops):
         if p > n:
             ((k, e),) = drops[p]
             hulls[p] = ((0, e), (k, 0), (n, 0)) if k < n else ((0, e), (n, 0))
-        else:
-            hulls[p] = _lower_hull(_prefix_minima(_glp_heights(n, p, drops[p])))
+            continue
+        step = {k: -e for k, e in drops[p]}  # step[j] = h_j - h_(j-1), at the events
+        h = -sum(step.values())
+        q = p
+        while q <= n:  # -ord_p(j) and +ord_p(n+1-j), one power of p at a time
+            for j in range(q, n + 1, q):
+                step[j] = step.get(j, 0) - 1
+            for j in range((n + 1) % q or q, n + 1, q):
+                step[j] = step.get(j, 0) + 1
+            q *= p
+        hull, low = [(0, h)], h
+        for j in sorted(step):
+            h += step[j]
+            if h < low:
+                _hull_push(hull, (j, h))
+                if not h:  # h_n = 0 is reached by j = n
+                    break
+                low = h
+        _hull_push(hull, (n, 0))  # replaces a last vertex (n, 0)
+        hulls[p] = hull
     return index_report(hulls)
-
-
-def _glp_heights(n: int, p: int, drops: list[tuple[int, int]]) -> list[int]:
-    """ord_p(binom(n,j) c_j) for j = 0..n, from drops = [(k, ord_p(k*mu + lam))]
-    over the k with p | k*mu + lam: ord_p(n!) - ord_p(j!) - ord_p((n-j)!)
-    (Legendre) plus the sum of the drops at k > j."""
-    at = [0] * n
-    for k, e in drops:
-        at[k - 1] = e
-    heights = _suffix_sums(at)
-    legendre = [0] * (n + 1)
-    for m in range(p, n + 1, p):
-        legendre[m] = _multiplicity(m, p)
-    fact = list(accumulate(legendre))  # ord_p(m!)
-    top = fact[n]
-    return [h + top - a - b for h, a, b in zip(heights, fact, reversed(fact))]
-
-
-def _prefix_minima(heights: list[int]) -> list[tuple[int, int]]:
-    """The strict prefix minima (j, h_j) of heights that are >= 0 and end in
-    0, up to the first 0, then the last point: among them is every vertex
-    of the lower hull of all the points."""
-    points, low = [], heights[0] + 1
-    for j, h in enumerate(heights):
-        if h < low:
-            points.append((j, h))
-            low = h
-            if not h:  # no later height is lower
-                break
-    last = len(heights) - 1
-    if points[-1][0] != last:
-        points.append((last, 0))
-    return points
-
-
-def _suffix_sums(drops: list[int]) -> list[int]:
-    """ord_p(c_j) for j = 0..n, from drops = [ord_p(k*mu + lam) for k = 1..n]:
-    the sum of the drops over k > j."""
-    sums = list(accumulate(reversed(drops), initial=0))
-    sums.reverse()
-    return sums
 
 
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
@@ -212,6 +203,7 @@ def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
     product over mu^(n(n-1)/2), taken in a balanced product tree."""
     if n < 1:
         raise DomainError("degree must be positive")
+    _check_effort(n)
     a = Fraction(alpha)
     lam, mu = a.numerator, a.denominator
     terms = [j**j * (j * mu + lam) ** (j - 1) for j in range(2, n + 1)]
@@ -232,6 +224,7 @@ def is_schur_square(params: GlpParams) -> bool:
     is a square exactly when Delta is, and dropping its even powers leaves
     M = prod_{odd j} j * prod_{even j} (j*mu + lam), times mu when n(n-1)/2
     is odd: Delta is a square iff M is a non-negative square."""
+    _check_effort(params.n)
     n, lam, mu = params.n, params.lam, params.mu
     m = math.prod(range(3, n + 1, 2)) * math.prod(range(2 * mu + lam, n * mu + lam + 1, 2 * mu))
     if n * (n - 1) // 2 % 2:
@@ -251,20 +244,26 @@ def is_rational_square(q: Union[int, Fraction]) -> bool:
 
 def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
     """Largest prime p = mu*ell + lam in the search window that passes the
-    coefficient-valuation shortcut (lemma_key_check on the c_j, whose
-    valuations are read off the factors k*mu + lam); returns (p, ell) or None.
-    For alpha < -n every factor k*mu + lam with k <= n is negative, so there
-    is none."""
+    coefficient-valuation shortcut (lemma_key_check on the c_j); returns
+    (p, ell) or None.  For alpha < -n every factor k*mu + lam with k <= n is
+    negative, so there is none."""
+    _check_effort(params.n)
+    return _criterion_prime(params)
+
+
+def _criterion_prime(params: GlpParams, drops: Optional[dict] = None) -> Optional[tuple[int, int]]:
+    """find_criterion_prime, from the drops when given.  ord_p(c_j) sums the
+    drops at k > j and must be 1 at 1 <= j <= n - p and 0 at j = p: among
+    k = 2..n one k has p | k*mu + lam, to the first power, with n - p < k <= p."""
     n, lam, mu = params.n, params.lam, params.mu
-    if n < 5 or lam < -n * mu:
-        return None
     lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil
-    if lo > n - 3:
+    if n < 5 or lam < -n * mu or lo > n - 3:
         return None
-    for p in reversed(primes_in_ap_interval(lam, mu, lo, n - 3)):
-        drops = [_multiplicity(k * mu + lam, p) for k in range(1, n + 1)]
-        if _lemma_key_holds(n, p, _suffix_sums(drops)):
-            return p, (p - lam) // mu
+    drops = _drops(params) if drops is None else drops
+    for p in sorted(drops, reverse=True):
+        if lo <= p <= n - 3 and 2 * p > n and (p - lam) % mu == 0:
+            if [e * (n - p < k <= p) for k, e in drops[p] if k > 1] == [1]:
+                return p, (p - lam) // mu
     return None
 
 
@@ -275,6 +274,8 @@ def _irreducibility_evidence(
     are in report.  For this monic integral f, p is good exactly when p does
     not divide disc(f) = mu^(n(n-1)/2) prod_{j=2}^n j^j (j*mu + lam)^(j-1):
     for n >= 2, when p > n and p divides neither mu nor any j*mu + lam."""
+    from .certify import ASSUMED, DEGREE_SET_FILTER, SINGLE_SLOPE
+
     if report.single_slope:
         return SINGLE_SLOPE
     from .modp import degree_set_filter  # only the filter loads modp
@@ -291,12 +292,14 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     """Decide A_n vs S_n for L_n^(alpha) from a certificate whose preferred window
     prime is the criterion prime, and the squareness of the discriminant; honest
     `inconclusive` otherwise, also when irreducibility is neither proved nor assumed."""
+    from .certify import CONTAINS_AN, certify_from_reports, jordan_window_primes
+
     n = params.n
     square = is_schur_square(params)
-    report = glp_newton_index(params)
+    drops = _drops(params)
+    report = _atlas(n, drops)
     basis = _irreducibility_evidence(params, report, assume_irreducible)
-
-    crit = find_criterion_prime(params)
+    crit = _criterion_prime(params, drops)
     window = ([crit[0]] if crit else []) + jordan_window_primes(n)
     cert = certify_from_reports(n, [(Fraction(0), report)], basis, window)
 
@@ -315,6 +318,8 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
 
 
 def classification_to_dict(c: Classification) -> dict:
+    from .certify import certificate_to_dict
+
     return {
         "n": c.params.n,
         "alpha": str(c.params.alpha),

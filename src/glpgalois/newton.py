@@ -111,14 +111,19 @@ def _lower_hull(points: list[Point]) -> list[Point]:
         if before == pt[1] == after[1]:
             continue
         before = pt[1]
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the middle point only on a strict left turn
-            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) > 0:
-                break
-            hull.pop()
-        hull.append(pt)
+        _hull_push(hull, pt)
     return hull
+
+
+def _hull_push(hull: list[Point], pt: Point) -> None:
+    """Append pt to hull, first dropping each last vertex without a left turn."""
+    x, y = pt
+    while len(hull) >= 2:
+        (x1, y1), (x2, y2) = hull[-2], hull[-1]
+        if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
+            break
+        hull.pop()
+    hull.append(pt)
 
 
 def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:

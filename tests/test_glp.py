@@ -12,6 +12,7 @@ from glpgalois.certify import (
     INCONCLUSIVE,
     GaloisCertificate,
     certify_large_galois,
+    lemma_key_check,
 )
 from glpgalois.errors import DomainError
 from glpgalois.glp import (
@@ -34,7 +35,7 @@ from glpgalois.glp import (
 from glpgalois.modp import good_primes
 from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
-from glpgalois.primes import ord_p
+from glpgalois.primes import is_prime, ord_p
 
 from oracles import extreme_point_hull, laguerre_by_definition
 
@@ -193,6 +194,28 @@ class TestCriterionPrime:
         p, _ = find_criterion_prime(GlpParams(40, 0, 1))
         assert p == 37
 
+    ALPHAS = (0, 1, 2, 13, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
+              Fraction(1, 9), Fraction(-5, 4))
+
+    def test_agrees_with_lemma_key_check(self):
+        # the largest prime p = mu*ell + lam <= n - 3 with ell > n - p on which
+        # lemma_key_check passes for the big c_j, against the rule on the drops
+        found = 0
+        for n in range(1, 130):
+            for alpha in self.ALPHAS:
+                params = GlpParams.from_alpha(n, alpha)
+                lam, mu = params.lam, params.mu
+                c = normalized_coefficient_products(params)
+                want = None
+                for p in range(n - 3, 2, -1):
+                    ell, rest = divmod(p - lam, mu)
+                    if not rest and ell > n - p and is_prime(p) and lemma_key_check(n, c, p):
+                        want = (p, ell)
+                        break
+                assert find_criterion_prime(params) == want, (n, alpha)
+                found += want is not None
+        assert found > 500
+
     def test_returned_prime_passes_lemma(self):
         for n, lam, mu in [(9, 0, 1), (20, 1, 2), (30, 0, 1), (25, 2, 1), (33, -1, 2)]:
             found = find_criterion_prime(GlpParams(n, lam, mu))
@@ -251,13 +274,15 @@ class TestGlpNewtonIndex:
     def test_heights_from_small_factors(self):
         # n = 12, alpha = 7/2: the factors 2k + 7 are 9, 11, ..., 31, and 3 divides
         # 9 = 3^2, 15, 21 and 27 = 3^3 (k = 1, 4, 7, 10); the height at j is
-        # ord_3(binom(12, j)) + sum_{k > j} ord_3(2k + 7)
+        # ord_3(binom(12, j)) + sum_{k > j} ord_3(2k + 7).  The atlas walks only
+        # the j where a height changes; its hull is the hull of all 13 heights
         binom3 = [0, 1, 1, 0, 2, 2, 1, 2, 2, 0, 1, 1, 0]
         suffix = [7, 5, 5, 5, 4, 4, 4, 3, 3, 3, 0, 0, 0]
-        heights = glp_module._glp_heights(12, 3, [(1, 2), (4, 1), (7, 1), (10, 3)])
-        assert heights == [b + s for b, s in zip(binom3, suffix)]
-        points = list(enumerate(heights))
-        assert glp_newton_index(GlpParams(12, 7, 2)).vertices[3] == tuple(extreme_point_hull(points))
+        params = GlpParams(12, 7, 2)
+        points = [(j, b + s) for j, (b, s) in enumerate(zip(binom3, suffix))]
+        assert [(j, ord_p(c, 3)) for j, c in enumerate(glp_normalized(params).coeffs)] == points
+        vertices = glp_newton_index(params).vertices[3]
+        assert vertices == tuple(extreme_point_hull(points)) == ((0, 7), (1, 6), (10, 1), (12, 0))
 
     # mu > 1; p^2 | k*mu + lam at p <= n (9, 27, 25) and at p > n (121 = 11^2 at
     # n = 10, 49 = 7^2 at n = 6); alpha < -n, also with mu > 1; alpha = -1-n; n = 1
@@ -282,6 +307,41 @@ class TestGlpNewtonIndex:
                     # at most two segments, bending at the one k with p | k*mu + lam
                     (k,) = [k for k in range(1, n + 1) if (k * mu + lam) % p == 0]
                     assert len(vertices) <= 3 and vertices[1] == (k, 0), (params, p)
+
+    # n up to 300: p^2 | k*mu + lam at p <= n (169 = 13^2 at n = 200, 27 = 3^3
+    # at n = 250) and at p > n (331^2 at n = 300, 307^2 at n = 250); alpha < -n,
+    # also with mu > 1; mu > 1; n = 1
+    LARGE_HULL_CASES = [
+        (300, 0, 1), (200, 169 - 2 * 7, 7), (250, 27 - 5 * 2, 5), (300, 331**2 - 300, 1),
+        (250, 307**2 - 4 * 250, 4), (300, -307, 1), (260, -799, 3), (1, 331**2, 7),
+    ]
+
+    def test_event_hulls_up_to_n_300(self):
+        # the event walk against newton_index on the big coefficients, and against
+        # the extreme points of all n + 1 valuations at the two smallest and the
+        # two largest primes p <= n and the largest p <= n whose square divides
+        # a factor (the oracle is cubic in n; p > n is covered above)
+        rng = random.Random(16300)
+        cases = [GlpParams(*c) for c in self.LARGE_HULL_CASES]
+        while len(cases) < 12:
+            n, mu = rng.randint(61, 300), rng.randint(1, 9)
+            lam = rng.randint(-(n + 3) * mu, 12 * mu)
+            if math.gcd(lam, mu) == 1 and not (mu == 1 and -n <= lam <= -1):
+                cases.append(GlpParams(n, lam, mu))
+        squares = set()
+        for params in cases:
+            n, lam, mu = params.n, params.lam, params.mu
+            f = glp_normalized(params)
+            got, want = glp_newton_index(params), newton_index(f)
+            assert got == want and list(got.vertices) == list(want.vertices), params
+            small = [p for p in got.vertices if p <= n]
+            square = {p for p in got.vertices
+                      if any((k * mu + lam) % p**2 == 0 for k in range(1, n + 1))}
+            squares |= {p <= n for p in square}
+            for p in set(small[:2] + small[-2:] + sorted(p for p in square if p <= n)[-1:]):
+                points = [(j, ord_p(c, p)) for j, c in enumerate(f.coeffs)]
+                assert got.vertices[p] == tuple(extreme_point_hull(points)), (params, p)
+        assert squares == {True, False}
 
 
 class TestClassify:
@@ -429,6 +489,23 @@ class TestSchurTruncatedExponential:
             assert c.group == (GROUP_AN if n % 4 == 0 else GROUP_SN), n
         for alpha in (-50, Fraction(-31, 3)):
             assert find_criterion_prime(GlpParams.from_alpha(10, alpha)) is None
+
+
+class TestEffortBudget:
+    def test_every_loop_over_k_stops_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(glp_module, "N_BUDGET", 40)
+        calls = [glp, normalized_coefficient_products, glp_normalized, glp_newton_index,
+                 is_schur_square, find_criterion_prime, classify,
+                 lambda params: schur_discriminant(params.n, params.alpha)]
+        for call in calls:
+            call(GlpParams(40, 0, 1))
+            with pytest.raises(DomainError, match="effort budget N_BUDGET = 40"):
+                call(GlpParams(41, 0, 1))
+
+    def test_huge_degree_is_refused_at_once(self):
+        for n in (glp_module.N_BUDGET + 1, 10**8):
+            with pytest.raises(DomainError, match=f"degree {n} is over the effort budget"):
+                classify(GlpParams(n, 0, 1))
 
 
 class TestCoefficientProducts:

@@ -54,6 +54,9 @@ FIXED = [
     ["glp-classify", "--n", "0", "--alpha", "0"],
     ["glp-classify", "--n", "-5", "--alpha", "0"],
     ["glp-classify", "--n", "x", "--alpha", "0"],
+    ["glp-classify", "--n", str(10**8), "--alpha", "0"],  # past the effort budget on n
+    ["glp-disc", "--n", str(10**8), "--alpha", "0"],
+    ["glp-scan", "--n-from", str(10**8), "--n-to", str(10**8), "--alpha", "0", "--jobs", "1"],
     ["certify", "--poly", "6,18,9,1", "--shifts", "a"],
     ["certify", "--poly", "6,18,9,1", "--shifts", "1/0"],
     ["certify", "--poly", "6,18,9,1", "--shifts", f"0,-1/2,{HUGE}"],
@@ -119,6 +122,14 @@ def run(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     return code, err.getvalue(), time.perf_counter() - start
+
+
+def test_huge_degree_exits_1_naming_the_budget():
+    for argv in (["glp-classify", "--n", str(10**8), "--alpha", "0"],
+                 ["glp-disc", "--n", str(10**8), "--alpha", "5/3", "--json"]):
+        code, err, elapsed = run(argv)
+        assert code == 1 and err.startswith("error: ") and "N_BUDGET" in err, (argv, err)
+        assert elapsed < 1.0, argv
 
 
 def test_every_subcommand_fails_fast_and_cleanly(monkeypatch):

@@ -59,7 +59,8 @@ def test_import_loads_no_submodule():
     (["index", "--poly", "6,18,9,1"], {"certify", "modp", "glp"}),
     (["certify", "--poly", "6,18,9,1", "--shifts", "0,1,-1"], {"modp", "glp"}),
     (["frobenius", "--poly", "1,0,1", "--json"], {"newton", "certify", "glp"}),
-    (["glp-disc", "--n", "9", "--alpha", "5/3", "--verify-resultant"], {"modp"}),
+    (["glp-disc", "--n", "9", "--alpha", "5/3", "--verify-resultant"],
+     {"modp", "certify", "newton"}),
     (["glp-classify", "--n", "9", "--alpha", "0"], {"modp"}),  # single slope
 ])
 def test_subcommand_loads_only_its_modules(argv, absent):
