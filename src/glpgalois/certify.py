@@ -85,8 +85,8 @@ def certificate_to_dict(cert: GaloisCertificate) -> dict:
 
 
 def jordan_window_primes(n: int) -> list[int]:
-    """Primes q with n/2 < q < n - 2, descending."""
-    return [q for q in range(n - 3, n // 2, -1) if 2 * q > n and is_prime(q)]
+    """Primes q with n/2 < q < n - 2, descending; 2 is never one of them."""
+    return [q for q in range((n - 4) | 1, n // 2, -2) if is_prime(q)]
 
 
 def lemma_key_check(n: int, c: Sequence[Union[int, Fraction]], p: int) -> bool:
@@ -146,7 +146,7 @@ def certify_from_reports(
         if irreducibility is not None:
             for q in window:
                 if report.index % q == 0:
-                    p, slope = _witness_for(report.witnesses, q)
+                    p, slope = report.witness(q)
                     return GaloisCertificate(
                         verdict=CONTAINS_AN,
                         n=n,
@@ -169,10 +169,3 @@ def certify_from_reports(
         irreducibility_basis=irreducibility,
     )
 
-
-def _witness_for(witnesses: dict[int, list[Fraction]], q: int) -> tuple[int, Fraction]:
-    for p in sorted(witnesses):
-        for slope in witnesses[p]:
-            if slope.denominator % q == 0:
-                return p, slope
-    raise DomainError(f"no witness slope for window prime {q}")

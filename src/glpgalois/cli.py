@@ -59,13 +59,11 @@ def _cmd_index(args) -> int:
     from .polys import parse_poly
 
     report = newton_index(parse_poly(args.poly))
-    payload = {
-        "index": report.index,
-        "witnesses": {str(p): [str(s) for s in sl] for p, sl in report.witnesses.items()},
-    }
+    witnesses = report.witnesses  # built on each read
+    payload = {"index": report.index,
+               "witnesses": {str(p): [str(s) for s in sl] for p, sl in witnesses.items()}}
     lines = [f"index={report.index}"]
-    lines += [f"p={p} slopes=" + ",".join(str(s) for s in report.witnesses[p])
-              for p in sorted(report.witnesses)]
+    lines += [f"p={p} slopes=" + ",".join(str(s) for s in witnesses[p]) for p in sorted(witnesses)]
     return _print(args, payload, lines)
 
 

@@ -12,13 +12,18 @@ when the mod-p degree-set filter needs f itself, and Delta only on request.
 
 The polygon atlas holds each candidate prime's hull vertices and nothing
 else; the index and its witnesses need only those.  It is built from the
-drops {p: [(k, ord_p(k*mu + lam))]}, which also decide the criterion prime.
-At p <= n the heights h_j = ord_p(binom(n,j) c_j) are >= 0 and h_n = 0, so
-a vertex is (n, 0) or a strict prefix minimum, and h_j - h_(j-1) =
-ord_p(n-j+1) - ord_p(j) - ord_p(j*mu + lam) (Legendre) is nonzero only at
-multiples of p, at j = n+1 (mod p) and at the drops.  The atlas walks these
-events in order up to the first zero height and hulls each new minimum as it
-arrives: O(n/p + drops) steps per prime, not n + 1 heights.
+drops {p: [(k, ord_p(k*mu + lam))]}, which also decide the criterion prime,
+sieved along the progression: a prime p <= B = min(2^16, isqrt(max |k*mu +
+lam|)) not dividing mu divides exactly the factors with k = -lam/mu (mod p).
+A cofactor r > 1 left has no prime factor <= B, so it is prime if r <
+(B+1)^2 and is split like `prime_factors`' large cofactors otherwise.
+At p <= n the heights h_j = ord_p(binom(n,j)) + S(j), with S(j) the drops at
+k > j, are >= 0 and h_n = 0, so a vertex is (n, 0) or a strict prefix
+minimum.  With n = Np + r, by Kummer ord_p(binom(n, mp+t)) for 0 <= t < p is
+c_m = ord_p(binom(N,m)) if t <= r, else c_m + 1 + ord_p(N-m), and the drops
+sit at one offset t = s in every block [mp, mp+p).  So a new minimum starts a
+block or is its drop: the atlas visits these points and hulls the minima,
+O(n/p) steps per prime, not n + 1 heights.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly
-from .primes import _multiplicity, prime_factors, primes
+from .primes import SMALL_PRIMES, _add_large_prime_factors, _multiplicity, primes
 
 if TYPE_CHECKING:  # certify and newton load only where classify uses them
     from .certify import GaloisCertificate
@@ -152,13 +157,27 @@ def glp_newton_index(params: GlpParams) -> NewtonIndexReport:
 
 
 def _drops(params: GlpParams) -> dict[int, list[tuple[int, int]]]:
-    """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam."""
+    """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam,
+    ascending in k, by a sieve along the progression (see the module)."""
     n, lam, mu = params.n, params.lam, params.mu
+    rest = [abs(k * mu + lam) for k in range(n + 1)]  # rest[0] is unused
+    bound = min(1 << 16, math.isqrt(max(rest[1], rest[n])))
     drops: dict[int, list[tuple[int, int]]] = {}
+    for p in SMALL_PRIMES:
+        if p > bound:
+            break
+        for k in range((-lam * pow(mu, -1, p) - 1) % p + 1, n + 1, p) if mu % p else ():
+            e = _multiplicity(rest[k], p)
+            rest[k] //= p**e
+            drops.setdefault(p, []).append((k, e))
     for k in range(1, n + 1):
-        factor = k * mu + lam
-        for p in prime_factors(factor):
-            drops.setdefault(p, []).append((k, _multiplicity(factor, p)))
+        if rest[k] > bound * (bound + 2):  # no prime factor <= bound, as for prime_factors
+            large: set[int] = set()
+            _add_large_prime_factors(rest[k], large)
+            for q in large:
+                drops.setdefault(q, []).append((k, _multiplicity(rest[k], q)))
+        elif rest[k] > 1:  # a prime above bound, whose square exceeds every factor
+            drops.setdefault(rest[k], []).append((k, 1))
     return drops
 
 
@@ -166,34 +185,36 @@ def _atlas(n: int, drops: dict[int, list[tuple[int, int]]]) -> NewtonIndexReport
     """The Newton index report of f from its drops.  At p > n, p does not
     divide mu (lam/mu is in lowest terms), so it divides one factor, at some
     k <= n < p: the heights are e = ord_p(k*mu + lam) for j < k and 0 from k
-    on, and the vertices are (0, e), (k, 0) and (n, 0)."""
-    from .newton import _hull_push, index_report
+    on, and the vertices are (0, e), (k, 0) and (n, 0); at p <= n see the module."""
+    from .newton import _lower_hull, index_report
 
     hulls = {}
     for p in sorted(drops):
+        ks = drops[p]
         if p > n:
-            ((k, e),) = drops[p]
+            ((k, e),) = ks
             hulls[p] = ((0, e), (k, 0), (n, 0)) if k < n else ((0, e), (n, 0))
             continue
-        step = {k: -e for k, e in drops[p]}  # step[j] = h_j - h_(j-1), at the events
-        h = -sum(step.values())
-        q = p
-        while q <= n:  # -ord_p(j) and +ord_p(n+1-j), one power of p at a time
-            for j in range(q, n + 1, q):
-                step[j] = step.get(j, 0) - 1
-            for j in range((n + 1) % q or q, n + 1, q):
-                step[j] = step.get(j, 0) + 1
-            q *= p
-        hull, low = [(0, h)], h
-        for j in sorted(step):
-            h += step[j]
-            if h < low:
-                _hull_push(hull, (j, h))
-                if not h:  # h_n = 0 is reached by j = n
-                    break
-                low = h
-        _hull_push(hull, (n, 0))  # replaces a last vertex (n, 0)
-        hulls[p] = hull
+        N, r = divmod(n, p)
+        s = ks[0][0] % p  # each block [mp, mp + p) has its drop at mp + s
+        h = sum(e for _, e in ks)  # S(j), the drops at k > j
+        minima, low, c = [(0, h)], h, 0  # c = ord_p binom(N, m)
+        for m in range(N + 1):
+            if m:
+                if not (m % p and (N - m + 1) % p):
+                    c += _multiplicity(N - m + 1, p) - _multiplicity(m, p)
+                if not s:
+                    h -= ks[m - 1][1]
+                if c + h < low:
+                    low = c + h
+                    minima.append((m * p, low))
+            if s and (s <= r or m < N):
+                h -= ks[m][1]
+                t = h + c if s <= r else h + c + 1 + _multiplicity(N - m, p)
+                if t < low:
+                    low = t
+                    minima.append((m * p + s, low))
+        hulls[p] = _lower_hull(minima + [(n, 0)])  # (n, 0) replaces a last (n, 0)
     return index_report(hulls)
 
 

@@ -167,8 +167,10 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
 
     # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then by steps of x^p
     first = (2 * n - 2) // p + 1
-    rows, xp = table[: first * p : p], [0, 1]
-    for bit in bin(p)[3:] if first < n else "":  # x^p, once some row needs it
+    rows = table[: first * p : p]
+    # x^p, once some row needs it: the table's row while p <= 2n - 2, else powered
+    xp = _trim(_unpack(rows[1], w, n, p)) if first > 1 else [0, 1]
+    for bit in bin(p)[3:] if first == 1 < n else "":
         xp = mulmod(mulmod(xp, xp), [0, 1]) if bit == "1" else mulmod(xp, xp)
     r = _trim(_unpack(rows[-1], w, n, p))
     for _ in range(first, n):

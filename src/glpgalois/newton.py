@@ -7,13 +7,16 @@ of the slope denominators over the finite set of primes dividing a_0 * a_n of
 the primitive part of f.
 
 A polygon is fixed by its hull vertices, and the index, its witness slopes
-and the single-slope test need only each segment's integer (rise, run).  So
-a `NewtonIndexReport` holds the vertices at every candidate prime, and
-`index_report` is the one index builder: `newton_index` feeds it the hulls
-of f's coefficient valuations, and `glp` hulls it builds from the small
-factors of the GLP coefficients.  The `NewtonPolygon` and `Segment` records,
-with every point and a `Fraction` slope per segment, are built only by
-`newton_polygon`.  Both check convexity by the same integer walk.
+and the single-slope test need only each segment's integer (rise, run): a
+slope's denominator is run // gcd(rise, run).  So a `NewtonIndexReport`
+holds the index and the vertices at every candidate prime, and a slope
+becomes a `Fraction` only when it is read: `witnesses` builds the slopes of
+denominator > 1, `witness(q)` only the one it returns.  `index_report` is
+the one index builder: `newton_index` feeds it the hulls of f's coefficient
+valuations, and `glp` hulls it builds from the small factors of the GLP
+coefficients.  The `NewtonPolygon` and `Segment` records, with every point
+and a `Fraction` slope per segment, are built only by `newton_polygon`.
+Both check convexity by the same integer walk.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class NewtonPolygon(Record):
         self._set("segments", segments)
         # the hull check shared with index_report, then the endpoints and the
         # segments; explicit raises, which survive `python -O`
-        _ramified_slopes(prime, vertices)
+        _hull_denominator(prime, vertices)
         if not (
             vertices[0] == points[0] and vertices[-1] == points[-1]
             and segments == _segments(vertices)
@@ -69,17 +72,36 @@ class NewtonPolygon(Record):
 
 
 class NewtonIndexReport(Record):
-    __slots__ = ("index", "witnesses", "vertices")
+    __slots__ = ("index", "vertices")
 
     def __init__(
         self,
         index: int,
-        witnesses: dict[int, list[Fraction]],  # prime -> slopes with denominator > 1
         vertices: dict[int, tuple[Point, ...]],  # every candidate prime -> its hull vertices
     ) -> None:
         self._set("index", index)
-        self._set("witnesses", witnesses)
         self._set("vertices", vertices)
+
+    @property
+    def witnesses(self) -> dict[int, list[Fraction]]:
+        """prime -> its slopes of denominator > 1 (run does not divide rise),
+        left to right, for each prime of `vertices` that has one."""
+        out = {}
+        for p, hull in self.vertices.items():
+            pairs = ((y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+            if slopes := [Fraction(rise, run) for rise, run in pairs if rise % run]:
+                out[p] = slopes
+        return out
+
+    def witness(self, q: int) -> tuple[int, Fraction]:
+        """The first (prime, slope) with q dividing the slope's denominator, which
+        divides the run (tested first); primes ascending, segments left to right."""
+        for p in sorted(self.vertices):
+            hull = self.vertices[p]
+            for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+                if not (x1 - x0) % q and not (x1 - x0) // math.gcd(y1 - y0, x1 - x0) % q:
+                    return p, Fraction(y1 - y0, x1 - x0)
+        raise DomainError(f"no witness slope for window prime {q}")
 
     @property
     def single_slope(self) -> bool:
@@ -102,28 +124,17 @@ def strip_x_powers(f: Poly) -> tuple[int, Poly]:
 
 
 def _lower_hull(points: list[Point]) -> list[Point]:
-    """The lower hull's vertices, left to right.  A point inside a run of equal
-    heights lies on the segment between its neighbours, so it is never a
-    vertex: only the first and last points and the ends of each run are tried."""
+    """The lower hull's vertices, left to right, of points ascending in x
+    (monotone chain); a point on a segment is never a vertex."""
     hull: list[Point] = []
-    before = None  # the height of the previous point
-    for pt, after in zip(points, points[1:] + [(None, None)]):
-        if before == pt[1] == after[1]:
-            continue
-        before = pt[1]
-        _hull_push(hull, pt)
+    for x, y in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
+                break
+            hull.pop()
+        hull.append((x, y))
     return hull
-
-
-def _hull_push(hull: list[Point], pt: Point) -> None:
-    """Append pt to hull, first dropping each last vertex without a left turn."""
-    x, y = pt
-    while len(hull) >= 2:
-        (x1, y1), (x2, y2) = hull[-2], hull[-1]
-        if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
-            break
-        hull.pop()
-    hull.append(pt)
 
 
 def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
@@ -140,46 +151,41 @@ def _segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
     )
 
 
-def _ramified_slopes(p: int, hull: Sequence[Point]) -> list[Fraction]:
-    """The slopes of denominator > 1 along a hull, from each segment's integer
-    (rise, run); a denominator is run / gcd(rise, run), and only these slopes
-    become a `Fraction`.  Raises DomainError unless x and the slopes strictly
-    increase from left to right, checked on integer cross products."""
-    (x0, y0), ramified = hull[0], []
+def _hull_denominator(p: int, hull: Sequence[Point]) -> int:
+    """The lcm of the slope denominators along a hull.  Raises DomainError
+    unless x and the slopes strictly increase from left to right, checked on
+    integer cross products."""
+    (x0, y0), den = hull[0], 1
     rise, run = -1, 0  # before the first segment: any slope is larger
     for x1, y1 in hull[1:]:
         dy, dx = y1 - y0, x1 - x0
         if dx <= 0 or dy * run <= rise * dx:
             raise DomainError(f"hull at {p} is not convex from left to right")
+        if dy % dx:
+            den = math.lcm(den, dx // math.gcd(dy, dx))
         rise, run, x0, y0 = dy, dx, x1, y1
-        if run // math.gcd(rise, run) > 1:
-            ramified.append(Fraction(rise, run))
-    return ramified
+    return den
 
 
 def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
-    denominators, with the slopes of denominator > 1 as each prime's witnesses.
-    Every hull must run from x = 0 to the same last x with strictly
-    increasing slopes."""
+    denominators, in integers.  Every hull must run from x = 0 to the same
+    last x with strictly increasing slopes."""
     index = 1
-    witnesses: dict[int, list[Fraction]] = {}
     vertices: dict[int, tuple[Point, ...]] = {}
     end = None
     for p, hull in hulls.items():
         if len(hull) < 2 or hull[0][0] != 0:
             raise DomainError(f"hull at {p} does not start a segment at x = 0")
-        ramified = _ramified_slopes(p, hull)
+        d = _hull_denominator(p, hull)
         x = hull[-1][0]
         end = x if end is None else end
         if x != end:
             raise DomainError(f"hull at {p} ends at x = {x}, not at {end}")
-        if ramified:
-            witnesses[p] = ramified
-            for slope in ramified:
-                index = math.lcm(index, slope.denominator)
+        if index % d:
+            index = math.lcm(index, d)
         vertices[p] = tuple(hull)
-    return NewtonIndexReport(index=index, witnesses=witnesses, vertices=vertices)
+    return NewtonIndexReport(index=index, vertices=vertices)
 
 
 def _valuation_points(f: Poly, p: int) -> list[Point]:

@@ -7,7 +7,10 @@ a monotone chain, primality by trial division, Taylor shifts by Fraction
 synthetic division, and mod-p factor shapes by exhaustive root search or trial division.  Good
 primes are decided from the resultant-based discriminant, where the library
 decides them from the reduction mod p.  Laguerre polynomials come from their
-defining sum, where the library rescales its integral form.
+defining sum, where the library rescales its integral form.  The GLP drops
+come from factoring each factor k*mu + lam on its own, where the library
+sieves along the progression, and witness slopes are read from `Fraction`
+slopes, where the library reads integer rises and runs.
 """
 
 import math
@@ -228,3 +231,41 @@ def schoolbook_gcd(a, b, p):
         b = _schoolbook_monic(b, p)
         a, b = b, schoolbook_divmod(a, b, p)[1]
     return _schoolbook_monic(a, p) if a else a
+
+
+def drops_by_factoring(n, lam, mu):
+    """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam,
+    each factor factored on its own by `prime_factors`."""
+    from glpgalois.primes import prime_factors
+
+    drops = {}
+    for k in range(1, n + 1):
+        m = k * mu + lam
+        for p in sorted(prime_factors(m)):
+            e = 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            drops.setdefault(p, []).append((k, e))
+    return drops
+
+
+def fraction_witnesses(vertices):
+    """prime -> the slopes of denominator > 1 of its hull, left to right, each
+    segment's slope built as a Fraction first."""
+    out = {}
+    for p, hull in vertices.items():
+        slopes = [Fraction(b[1] - a[1], b[0] - a[0]) for a, b in zip(hull, hull[1:])]
+        ramified = [s for s in slopes if s.denominator > 1]
+        if ramified:
+            out[p] = ramified
+    return out
+
+
+def fraction_witness(witnesses, q):
+    """The first (p, slope) of fraction_witnesses' dict, primes ascending, with
+    q dividing the slope's denominator; None if there is none."""
+    for p in sorted(witnesses):
+        for slope in witnesses[p]:
+            if slope.denominator % q == 0:
+                return p, slope
+    return None

@@ -170,7 +170,7 @@ class TestClaimInvariants:
                 GaloisCertificate(CONTAINS_AN, 9, Fraction(0), index, ASSUMED, q, q, None)
 
     def test_missing_witness_slope_rejected(self):
-        report = NewtonIndexReport(index=5, witnesses={}, vertices={})
+        report = NewtonIndexReport(index=5, vertices={})
         with pytest.raises(DomainError):
             certify_from_reports(9, [(Fraction(0), report)], ASSUMED, [5])
 

@@ -37,9 +37,16 @@ from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
 from glpgalois.primes import is_prime, ord_p
 
-from oracles import extreme_point_hull, laguerre_by_definition
+from oracles import (
+    drops_by_factoring,
+    extreme_point_hull,
+    fraction_witness,
+    fraction_witnesses,
+    laguerre_by_definition,
+)
 
 glp_module = importlib.import_module("glpgalois.glp")
+newton_module = importlib.import_module("glpgalois.newton")
 certify_module = importlib.import_module("glpgalois.certify")
 modp_module = importlib.import_module("glpgalois.modp")
 primes_module = importlib.import_module("glpgalois.primes")
@@ -344,6 +351,81 @@ class TestGlpNewtonIndex:
         assert squares == {True, False}
 
 
+class TestDropsSieve:
+    # alpha < -n (negative factors) and alpha = -1-n (a factor -1); a factor 1;
+    # p | mu (3 | 9, 2 | 6); p^2 | k*mu + lam at p <= n (4, 8, 9, 25, 27, 49) and
+    # at p > n (49 = 7^2 at n = 5, 121 = 11^2 at n = 10); lam = 1_000_001; the
+    # large-cofactor split past 2^32: a prime 2^61 - 1, 65537 * 65539 and
+    # 65537^2; n = 1
+    EXPLICIT = [
+        (60, 0, 1), (81, 2, 1), (50, 1, 9), (30, 5, 6), (20, -50, 1), (24, -25, 1),
+        (9, -10, 1), (12, 0, 1), (5, 48, 1), (10, 116, 1), (12, 1_000_001, 7),
+        (4, 2**61 - 3, 1), (3, 65537 * 65539 - 1, 1), (2, 65537**2 - 2, 1),
+        (6, -(65537 * 65539) - 2, 3), (1, 0, 1), (1, 5, 3), (1, -3, 2),
+    ]
+
+    def check(self, params: GlpParams):
+        want = drops_by_factoring(params.n, params.lam, params.mu)
+        assert glp_module._drops(params) == want, params  # each list ascending in k
+
+    def test_explicit_cases(self):
+        for n, lam, mu in self.EXPLICIT:
+            self.check(GlpParams(n, lam, mu))
+
+    def test_grid(self):
+        for n in range(1, 41):
+            for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
+                          Fraction(1, 9), -n - 1, -n - 3, Fraction(-3 * n - 1, 3)):
+                self.check(GlpParams.from_alpha(n, alpha))
+
+    def test_seeded_params(self):
+        for params in seeded_params(1717, 200):
+            self.check(params)
+
+
+class TestWitnessesFromIntegers:
+    # the witness slopes that a report reads off its vertices in integers equal
+    # those built as a Fraction for every segment
+    def check(self, report: NewtonIndexReport, qs) -> None:
+        want = fraction_witnesses(report.vertices)
+        assert report.witnesses == want and list(report.witnesses) == list(want)
+        assert report.index == math.lcm(1, *(s.denominator for sl in want.values() for s in sl))
+        for q in qs:
+            expected = fraction_witness(want, q)
+            if expected is None:
+                with pytest.raises(DomainError):
+                    report.witness(q)
+            else:
+                assert report.witness(q) == expected, q
+
+    def test_glp_atlases(self):
+        for n in range(1, 301):
+            alphas = (0, Fraction(5, 3)) + ((Fraction(-1, 2), Fraction(-7, 3)) if n <= 100 else ())
+            for alpha in alphas:
+                window = [q for q in range(n // 2 + 1, n - 2) if is_prime(q)]
+                report = glp_newton_index(GlpParams.from_alpha(n, alpha))
+                self.check(report, [2, 3, 4, 6, n + 1] + window)
+
+    def test_single_slope_classify_builds_one_slope_fraction(self, monkeypatch):
+        # only the certificate's witness slope becomes a Fraction
+        cases = [GlpParams.from_alpha(n, alpha) for n in range(9, 61)
+                 for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2))]
+        cases = [params for params in cases if glp_newton_index(params).single_slope]
+        want = [classification_to_dict(classify(params)) for params in cases]
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(newton_module, "Fraction", counted)
+        for params, expected in zip(cases, want):
+            built.clear()
+            assert classification_to_dict(classify(params)) == expected
+            assert len(built) <= 1, (params, built)
+        assert len(cases) > 100
+
+
 class TestClassify:
     def test_n9_alpha0(self):
         c = classify(GlpParams(9, 0, 1))
@@ -390,7 +472,7 @@ class TestClassify:
             return set()
 
         monkeypatch.setattr(modp_module, "degree_set_filter", record)
-        no_single_slope = NewtonIndexReport(index=1, witnesses={}, vertices={})
+        no_single_slope = NewtonIndexReport(index=1, vertices={})
         for n in range(2, 41):
             for alpha in (0, 1, Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 3), Fraction(7, 2),
                           Fraction(1, 67)):

@@ -19,7 +19,7 @@ from glpgalois.newton import (
 )
 from glpgalois.polys import Poly, parse_poly, poly_from_coeffs, primitive_scale
 
-from oracles import brute_lower_hull, extreme_point_hull
+from oracles import brute_lower_hull, extreme_point_hull, fraction_witness, fraction_witnesses
 
 
 def rand_nonzero_constant_poly(rng, max_deg=12, span=10**4):
@@ -206,6 +206,25 @@ class TestIndexReport:
                 len(np.segments) == 1 and np.slopes[0].denominator == np.segments[0].length
                 for np in polygons.values()
             )
+
+
+    def test_witnesses_match_fraction_slopes(self):
+        # witnesses and witness(q), read in integers, equal those built from a
+        # Fraction per segment, on seeded polynomials and their shifts
+        rng = random.Random(67)
+        for _ in range(60):
+            f = rand_nonzero_constant_poly(rng, max_deg=12, span=10**4)
+            for mu in (0, 1, -1, 2):
+                r = newton_index(f.shift(mu))
+                want = fraction_witnesses(r.vertices)
+                assert r.witnesses == want and list(r.witnesses) == list(want)
+                for q in range(2, f.degree + 2):
+                    expected = fraction_witness(want, q)
+                    if expected is None:
+                        with pytest.raises(DomainError):
+                            r.witness(q)
+                    else:
+                        assert r.witness(q) == expected
 
 
 class TestSingleSlopeEvidence:
