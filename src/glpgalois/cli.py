@@ -21,6 +21,13 @@ from typing import Optional
 
 from .errors import DomainError
 
+# the most Frobenius samples one `frobenius` call takes; each factors f modulo
+# one more good prime.  If the group is not inside A_n, half of it is odd, so
+# k all-even samples have chance 2^-k, here 2^-1000.  1,000 samples of a
+# degree-24 f take about 2 s on one core of a 2-vCPU Xeon VM, 125 times the
+# 8 that glpbench's corpora ask for
+FROBENIUS_SAMPLE_BUDGET = 1_000
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
@@ -90,6 +97,9 @@ def _cmd_frobenius(args) -> int:
     else:
         if args.frobenius_samples < 1:
             raise DomainError("need at least one sample")
+        if args.frobenius_samples > FROBENIUS_SAMPLE_BUDGET:
+            raise DomainError(f"{args.frobenius_samples} samples are over the effort budget "
+                              f"FROBENIUS_SAMPLE_BUDGET = {FROBENIUS_SAMPLE_BUDGET}")
         ps = list(islice(good_primes(f), args.frobenius_samples))
         samples = [factor_degrees(f, p) for p in ps]
     payload = {

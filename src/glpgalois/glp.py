@@ -22,8 +22,13 @@ k > j, are >= 0 and h_n = 0, so a vertex is (n, 0) or a strict prefix
 minimum.  With n = Np + r, by Kummer ord_p(binom(n, mp+t)) for 0 <= t < p is
 c_m = ord_p(binom(N,m)) if t <= r, else c_m + 1 + ord_p(N-m), and the drops
 sit at one offset t = s in every block [mp, mp+p).  So a new minimum starts a
-block or is its drop: the atlas visits these points and hulls the minima,
-O(n/p) steps per prime, not n + 1 heights.
+block or is its drop: the atlas visits these points, O(n/p) steps per prime,
+not n + 1 heights, and pushes each new minimum onto the hull as it finds it.
+
+`glp` imports neither `certify` nor `newton` (nor `modp`), so `glp-disc`
+loads none of them: the classifier reaches them as attributes of the lazy
+package namespace, which imports each on first use and is then a plain
+attribute read, not an import statement per call.
 """
 
 from __future__ import annotations
@@ -33,12 +38,14 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Optional, Union
 
+import glpgalois  # certify, newton and modp are read as its attributes
+
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly
 from .primes import SMALL_PRIMES, _add_large_prime_factors, _multiplicity, primes
 
-if TYPE_CHECKING:  # certify and newton load only where classify uses them
+if TYPE_CHECKING:  # for annotations only
     from .certify import GaloisCertificate
     from .newton import NewtonIndexReport
 
@@ -106,9 +113,7 @@ class Classification(Record):
         self._set("ell", ell)
         self._set("params", params)
         if group in (GROUP_AN, GROUP_SN):
-            from .certify import CONTAINS_AN
-
-            if certificate.verdict != CONTAINS_AN:
+            if certificate.verdict != glpgalois.certify.CONTAINS_AN:
                 raise DomainError(f"group {group} claimed without a contains_An certificate")
             if discriminant_is_square != (group == GROUP_AN):
                 raise DomainError(f"group {group} contradicts the discriminant's squareness")
@@ -160,24 +165,33 @@ def _drops(params: GlpParams) -> dict[int, list[tuple[int, int]]]:
     """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam,
     ascending in k, by a sieve along the progression (see the module)."""
     n, lam, mu = params.n, params.lam, params.mu
-    rest = [abs(k * mu + lam) for k in range(n + 1)]  # rest[0] is unused
+    rest = [abs(k * mu + lam) for k in range(n + 1)]
     bound = min(1 << 16, math.isqrt(max(rest[1], rest[n])))
+    rest[0] = 1  # k = 0 is no factor
     drops: dict[int, list[tuple[int, int]]] = {}
     for p in SMALL_PRIMES:
         if p > bound:
             break
-        for k in range((-lam * pow(mu, -1, p) - 1) % p + 1, n + 1, p) if mu % p else ():
-            e = _multiplicity(rest[k], p)
-            rest[k] //= p**e
-            drops.setdefault(p, []).append((k, e))
-    for k in range(1, n + 1):
-        if rest[k] > bound * (bound + 2):  # no prime factor <= bound, as for prime_factors
+        if mu % p:
+            ks = []
+            for k in range((-lam * pow(mu, -1, p) - 1) % p + 1, n + 1, p):
+                m, e = rest[k] // p, 1
+                while not m % p:
+                    m //= p
+                    e += 1
+                rest[k] = m
+                ks.append((k, e))
+            if ks:
+                drops[p] = ks
+    big = bound * (bound + 2)  # (bound+1)^2 - 1: a cofactor up to it is prime
+    for k, m in enumerate(rest):
+        if m > big:  # no prime factor <= bound, so split as prime_factors does
             large: set[int] = set()
-            _add_large_prime_factors(rest[k], large)
+            _add_large_prime_factors(m, large)
             for q in large:
-                drops.setdefault(q, []).append((k, _multiplicity(rest[k], q)))
-        elif rest[k] > 1:  # a prime above bound, whose square exceeds every factor
-            drops.setdefault(rest[k], []).append((k, 1))
+                drops.setdefault(q, []).append((k, _multiplicity(m, q)))
+        elif m > 1:  # a prime above bound, whose square exceeds every factor
+            drops.setdefault(m, []).append((k, 1))
     return drops
 
 
@@ -185,9 +199,13 @@ def _atlas(n: int, drops: dict[int, list[tuple[int, int]]]) -> NewtonIndexReport
     """The Newton index report of f from its drops.  At p > n, p does not
     divide mu (lam/mu is in lowest terms), so it divides one factor, at some
     k <= n < p: the heights are e = ord_p(k*mu + lam) for j < k and 0 from k
-    on, and the vertices are (0, e), (k, 0) and (n, 0); at p <= n see the module."""
-    from .newton import _lower_hull, index_report
-
+    on, and the vertices are (0, e), (k, 0) and (n, 0); at p <= n see the
+    module.  The walk there keeps c = ord_p binom(N, m), which changes by
+    ord_p(N-m+1) - ord_p(m) from block m-1 to block m, and v = ord_p(N-m),
+    which also lifts the drop of block m when s > r; both are divided out
+    inline.  Each strict prefix minimum goes onto the hull as it is found."""
+    newton = glpgalois.newton
+    push = newton._hull_push
     hulls = {}
     for p in sorted(drops):
         ks = drops[p]
@@ -198,24 +216,33 @@ def _atlas(n: int, drops: dict[int, list[tuple[int, int]]]) -> NewtonIndexReport
         N, r = divmod(n, p)
         s = ks[0][0] % p  # each block [mp, mp + p) has its drop at mp + s
         h = sum(e for _, e in ks)  # S(j), the drops at k > j
-        minima, low, c = [(0, h)], h, 0  # c = ord_p binom(N, m)
+        hull, low, c, v = [(0, h)], h, 0, 0  # c = ord_p binom(N, m), v = ord_p(N - m)
         for m in range(N + 1):
-            if m:
-                if not (m % p and (N - m + 1) % p):
-                    c += _multiplicity(N - m + 1, p) - _multiplicity(m, p)
+            if m:  # the start of block m
+                x = m
+                c += v
+                while not x % p:
+                    x //= p
+                    c -= 1
                 if not s:
                     h -= ks[m - 1][1]
                 if c + h < low:
                     low = c + h
-                    minima.append((m * p, low))
-            if s and (s <= r or m < N):
+                    push(hull, m * p, low)
+            if m < N:
+                x, v = N - m, 0
+                while not x % p:
+                    x //= p
+                    v += 1
+            if s and (s <= r or m < N):  # the drop of block m
                 h -= ks[m][1]
-                t = h + c if s <= r else h + c + 1 + _multiplicity(N - m, p)
+                t = h + c if s <= r else h + c + 1 + v
                 if t < low:
                     low = t
-                    minima.append((m * p + s, low))
-        hulls[p] = _lower_hull(minima + [(n, 0)])  # (n, 0) replaces a last (n, 0)
-    return index_report(hulls)
+                    push(hull, m * p + s, low)
+        push(hull, n, 0)  # replaces a last (n, 0)
+        hulls[p] = hull
+    return newton.index_report(hulls)
 
 
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
@@ -295,36 +322,32 @@ def _irreducibility_evidence(
     are in report.  For this monic integral f, p is good exactly when p does
     not divide disc(f) = mu^(n(n-1)/2) prod_{j=2}^n j^j (j*mu + lam)^(j-1):
     for n >= 2, when p > n and p divides neither mu nor any j*mu + lam."""
-    from .certify import ASSUMED, DEGREE_SET_FILTER, SINGLE_SLOPE
-
+    certify = glpgalois.certify
     if report.single_slope:
-        return SINGLE_SLOPE
-    from .modp import degree_set_filter  # only the filter loads modp
-
+        return certify.SINGLE_SLOPE
     n, lam, mu = params.n, params.lam, params.mu
     bad = mu * math.prod(range(2 * mu + lam, n * mu + lam + 1, mu)) if n > 1 else 1
     sample = list(islice((p for p in primes() if p > n and bad % p), _EVIDENCE_PRIME_BUDGET))
-    if degree_set_filter(glp_normalized(params), sample) == {0, n}:
-        return DEGREE_SET_FILTER
-    return ASSUMED if assume else None
+    if glpgalois.modp.degree_set_filter(glp_normalized(params), sample) == {0, n}:  # loads modp
+        return certify.DEGREE_SET_FILTER
+    return certify.ASSUMED if assume else None
 
 
 def classify(params: GlpParams, assume_irreducible: bool = False) -> Classification:
     """Decide A_n vs S_n for L_n^(alpha) from a certificate whose preferred window
     prime is the criterion prime, and the squareness of the discriminant; honest
     `inconclusive` otherwise, also when irreducibility is neither proved nor assumed."""
-    from .certify import CONTAINS_AN, certify_from_reports, jordan_window_primes
-
+    certify = glpgalois.certify
     n = params.n
     square = is_schur_square(params)
     drops = _drops(params)
     report = _atlas(n, drops)
     basis = _irreducibility_evidence(params, report, assume_irreducible)
     crit = _criterion_prime(params, drops)
-    window = ([crit[0]] if crit else []) + jordan_window_primes(n)
-    cert = certify_from_reports(n, [(Fraction(0), report)], basis, window)
+    window = ([crit[0]] if crit else []) + certify.jordan_window_primes(n)
+    cert = certify.certify_from_reports(n, [(Fraction(0), report)], basis, window)
 
-    if cert.verdict == CONTAINS_AN:
+    if cert.verdict == certify.CONTAINS_AN:
         group = GROUP_AN if square else GROUP_SN
     else:
         group = GROUP_INCONCLUSIVE
@@ -339,8 +362,6 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
 
 
 def classification_to_dict(c: Classification) -> dict:
-    from .certify import certificate_to_dict
-
     return {
         "n": c.params.n,
         "alpha": str(c.params.alpha),
@@ -348,6 +369,6 @@ def classification_to_dict(c: Classification) -> dict:
         "disc_is_square": c.discriminant_is_square,
         "criterion_prime": c.criterion_prime,
         "ell": c.ell,
-        "certificate": certificate_to_dict(c.certificate),
+        "certificate": glpgalois.certify.certificate_to_dict(c.certificate),
         "irreducibility_basis": c.certificate.irreducibility_basis,
     }

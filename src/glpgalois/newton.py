@@ -14,9 +14,10 @@ becomes a `Fraction` only when it is read: `witnesses` builds the slopes of
 denominator > 1, `witness(q)` only the one it returns.  `index_report` is
 the one index builder: `newton_index` feeds it the hulls of f's coefficient
 valuations, and `glp` hulls it builds from the small factors of the GLP
-coefficients.  The `NewtonPolygon` and `Segment` records, with every point
-and a `Fraction` slope per segment, are built only by `newton_polygon`.
-Both check convexity by the same integer walk.
+coefficients with `_hull_push`, the monotone-chain step of `_lower_hull`,
+one candidate vertex at a time.  The `NewtonPolygon` and `Segment`
+records, with every point and a `Fraction` slope per segment, are built
+only by `newton_polygon`.  Both check convexity by the same integer walk.
 """
 
 from __future__ import annotations
@@ -96,11 +97,16 @@ class NewtonIndexReport(Record):
     def witness(self, q: int) -> tuple[int, Fraction]:
         """The first (prime, slope) with q dividing the slope's denominator, which
         divides the run (tested first); primes ascending, segments left to right."""
-        for p in sorted(self.vertices):
-            hull = self.vertices[p]
-            for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-                if not (x1 - x0) % q and not (x1 - x0) // math.gcd(y1 - y0, x1 - x0) % q:
-                    return p, Fraction(y1 - y0, x1 - x0)
+        vertices = self.vertices
+        for p in sorted(vertices):
+            points = iter(vertices[p])  # each vertex is unpacked once
+            x0, y0 = next(points, (0, 0))  # an empty hull has no segment
+            for x1, y1 in points:
+                if not (x1 - x0) % q:
+                    rise, run = y1 - y0, x1 - x0
+                    if not run // math.gcd(rise, run) % q:
+                        return p, Fraction(rise, run)
+                x0, y0 = x1, y1
         raise DomainError(f"no witness slope for window prime {q}")
 
     @property
@@ -128,13 +134,19 @@ def _lower_hull(points: list[Point]) -> list[Point]:
     (monotone chain); a point on a segment is never a vertex."""
     hull: list[Point] = []
     for x, y in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
-                break
-            hull.pop()
-        hull.append((x, y))
+        _hull_push(hull, x, y)
     return hull
+
+
+def _hull_push(hull: list[Point], x: int, y: int) -> None:
+    """One monotone-chain step: append (x, y), right of every vertex, after
+    popping the vertices that it leaves on or above the hull."""
+    while len(hull) >= 2:
+        (x1, y1), (x2, y2) = hull[-2], hull[-1]
+        if (x2 - x1) * (y - y1) > (y2 - y1) * (x - x1):
+            break
+        hull.pop()
+    hull.append((x, y))
 
 
 def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
@@ -155,15 +167,16 @@ def _hull_denominator(p: int, hull: Sequence[Point]) -> int:
     """The lcm of the slope denominators along a hull.  Raises DomainError
     unless x and the slopes strictly increase from left to right, checked on
     integer cross products."""
-    (x0, y0), den = hull[0], 1
-    rise, run = -1, 0  # before the first segment: any slope is larger
+    x0, y0 = hull[0]
+    den, rise, run = 1, -1, 0  # before the first segment: any slope is larger
     for x1, y1 in hull[1:]:
         dy, dx = y1 - y0, x1 - x0
         if dx <= 0 or dy * run <= rise * dx:
             raise DomainError(f"hull at {p} is not convex from left to right")
         if dy % dx:
             den = math.lcm(den, dx // math.gcd(dy, dx))
-        rise, run, x0, y0 = dy, dx, x1, y1
+        rise, run = dy, dx
+        x0, y0 = x1, y1
     return den
 
 
@@ -171,17 +184,16 @@ def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
     denominators, in integers.  Every hull must run from x = 0 to the same
     last x with strictly increasing slopes."""
-    index = 1
+    index, end = 1, None
     vertices: dict[int, tuple[Point, ...]] = {}
-    end = None
     for p, hull in hulls.items():
         if len(hull) < 2 or hull[0][0] != 0:
             raise DomainError(f"hull at {p} does not start a segment at x = 0")
         d = _hull_denominator(p, hull)
-        x = hull[-1][0]
-        end = x if end is None else end
-        if x != end:
-            raise DomainError(f"hull at {p} ends at x = {x}, not at {end}")
+        if hull[-1][0] != end:  # the first hull sets the end
+            if end is not None:
+                raise DomainError(f"hull at {p} ends at x = {hull[-1][0]}, not at {end}")
+            end = hull[-1][0]
         if index % d:
             index = math.lcm(index, d)
         vertices[p] = tuple(hull)

@@ -9,6 +9,7 @@ budget, so that a 40-digit semiprime ends in `error:` at once.
 
 import contextlib
 import io
+import json
 import random
 import signal
 import time
@@ -49,6 +50,7 @@ FIXED = [
     ["frobenius", "--poly", "1,0,1", "--frobenius-samples", "0"],
     ["frobenius", "--poly", "1,0,1", "--frobenius-samples", "-1"],
     ["frobenius", "--poly", "1,0,1", "--prime", str(PSI_12)],
+    ["frobenius", "--poly=1,1,1", "--frobenius-samples", "1000000000"],  # past the sample budget
     ["np", "--poly", "1,2", "--prime", "-3"],
     ["np", "--poly", "1,2", "--prime", "x"],
     ["glp-classify", "--n", "0", "--alpha", "0"],
@@ -129,6 +131,25 @@ def test_huge_degree_exits_1_naming_the_budget():
                  ["glp-disc", "--n", str(10**8), "--alpha", "5/3", "--json"]):
         code, err, elapsed = run(argv)
         assert code == 1 and err.startswith("error: ") and "N_BUDGET" in err, (argv, err)
+        assert elapsed < 1.0, argv
+
+
+def test_sample_count_at_the_budget_answers():
+    argv = ["frobenius", "--poly=1,1,1", "--frobenius-samples",
+            str(cli.FROBENIUS_SAMPLE_BUDGET), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with time_budget(BUDGET_S), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert len(json.loads(out.getvalue())["samples"]) == cli.FROBENIUS_SAMPLE_BUDGET
+
+
+def test_sample_count_past_the_budget_exits_1_naming_it():
+    for count in (cli.FROBENIUS_SAMPLE_BUDGET + 1, 10**9):
+        argv = ["frobenius", "--poly=1,1,1", "--frobenius-samples", str(count)]
+        code, err, elapsed = run(argv)
+        assert code == 1 and err.startswith("error: "), (argv, err)
+        assert "FROBENIUS_SAMPLE_BUDGET" in err and "Traceback" not in err, err
         assert elapsed < 1.0, argv
 
 

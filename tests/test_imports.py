@@ -75,6 +75,28 @@ def test_degree_set_filter_loads_modp():
     assert "glpgalois.modp" in loaded and not loaded & NEVER_LOADED
 
 
+def test_warm_classify_runs_no_import_statement(monkeypatch):
+    # the classify path reads certify and newton (and modp, for the filter)
+    # as attributes of the package, not by an import statement per call
+    import builtins
+
+    from glpgalois.glp import GlpParams, classification_to_dict, classify
+
+    cases = [GlpParams.from_alpha(50, "5/3"), GlpParams.from_alpha(12, 0)]  # single slope; filter
+    want = [classification_to_dict(classify(params)) for params in cases]
+    imported = []
+
+    def recording_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    real_import = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__", recording_import)
+    got = [classification_to_dict(classify(params)) for params in cases]
+    monkeypatch.undo()
+    assert got == want and imported == []
+
+
 class TestNamespace:
     def test_every_public_name_is_its_home_modules_object(self):
         assert len(set(glpgalois.__all__)) == len(glpgalois.__all__)
