@@ -20,7 +20,6 @@ _HOMES = {
     "NewtonPolygon": "newton",
     "Poly": "polys",
     "ZeroPolynomialError": "errors",
-    "candidate_primes": "primes",
     "certificate_to_dict": "certify",
     "certify_large_galois": "certify",
     "classification_to_dict": "glp",

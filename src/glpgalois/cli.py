@@ -95,12 +95,13 @@ def _cmd_frobenius(args) -> int:
     if args.prime is not None:
         samples = [factor_degrees(f, args.prime)]
     else:
-        if args.frobenius_samples < 1:
+        count = 5 if args.frobenius_samples is None else args.frobenius_samples
+        if count < 1:
             raise DomainError("need at least one sample")
-        if args.frobenius_samples > FROBENIUS_SAMPLE_BUDGET:
-            raise DomainError(f"{args.frobenius_samples} samples are over the effort budget "
+        if count > FROBENIUS_SAMPLE_BUDGET:
+            raise DomainError(f"{count} samples are over the effort budget "
                               f"FROBENIUS_SAMPLE_BUDGET = {FROBENIUS_SAMPLE_BUDGET}")
-        ps = list(islice(good_primes(f), args.frobenius_samples))
+        ps = list(islice(good_primes(f), count))
         samples = [factor_degrees(f, p) for p in ps]
     payload = {
         "samples": [
@@ -219,8 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="cycle types modulo good primes")
     p.add_argument("--poly", required=True)
-    p.add_argument("--prime", type=int, default=None, help="use a single good prime")
-    p.add_argument("--frobenius-samples", type=int, default=5)
+    # exclusive, as --prime is one sample; the count defaults to None, since argparse
+    # takes a value that is its default object (as int("5") is 5) for an absent option
+    one_or_many = p.add_mutually_exclusive_group()
+    one_or_many.add_argument("--prime", type=int, default=None, help="use a single good prime")
+    one_or_many.add_argument("--frobenius-samples", type=int, default=None, help="default 5")
     add_json(p)
     p.set_defaults(func=_cmd_frobenius)
 

@@ -105,9 +105,9 @@ def _bad_prime_bound(f: Poly) -> int:
     Hadamard on the Sylvester matrix of g and g' (||g'|| <= n ||g||),
     |disc(g)| <= n^n * (sum g_i^2)^n."""
     g, _ = primitive_scale(f)
-    n, lc = g.degree, int(g.leading)
+    n, lc = len(g) - 1, g[-1]
     den = lcm(*[c.denominator for c in f.coeffs])  # a list: see polys.primitive_scale
-    return den * abs(f.leading.numerator) * lc * n**n * sum(int(c) ** 2 for c in g.coeffs) ** n
+    return den * abs(f.leading.numerator) * lc * n**n * sum(c * c for c in g) ** n
 
 
 def _trim(a: Residues) -> Residues:

@@ -12,12 +12,14 @@ slope's denominator is run // gcd(rise, run).  So a `NewtonIndexReport`
 holds the index and the vertices at every candidate prime, and a slope
 becomes a `Fraction` only when it is read: `witnesses` builds the slopes of
 denominator > 1, `witness(q)` only the one it returns.  `index_report` is
-the one index builder: `newton_index` feeds it the hulls of f's coefficient
-valuations, and `glp` hulls it builds from the small factors of the GLP
-coefficients with `_hull_push`, the monotone-chain step of `_lower_hull`,
-one candidate vertex at a time.  The `NewtonPolygon` and `Segment`
-records, with every point and a `Fraction` slope per segment, are built
-only by `newton_polygon`.  Both check convexity by the same integer walk.
+the one index builder: `newton_index` feeds it the hulls of the integer
+valuations of f's primitive part, and `glp` hulls it builds from the small
+factors of the GLP coefficients with `_hull_push`, the monotone-chain step
+of `_lower_hull`, one candidate vertex at a time.  A `NewtonPolygon`
+record, built only by `newton_polygon`, keeps f's own points and the hull
+vertices; its `Segment`s, each with a `Fraction` slope, are built from the
+vertices when read.  The record and `index_report` check convexity by the
+same integer walk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly, primitive_scale
-from .primes import _multiplicity, candidate_primes, is_prime
+from .primes import _multiplicity, is_prime, prime_factors
 
 Point = tuple[int, int]
 
@@ -45,27 +47,26 @@ class Segment(Record):
 
 
 class NewtonPolygon(Record):
-    __slots__ = ("prime", "points", "vertices", "segments")
+    __slots__ = ("prime", "points", "vertices")
 
-    def __init__(
-        self,
-        prime: int,
-        points: tuple[Point, ...],
-        vertices: tuple[Point, ...],
-        segments: tuple[Segment, ...],
-    ) -> None:
+    def __init__(self, prime: int, points: tuple[Point, ...], vertices: tuple[Point, ...]) -> None:
         self._set("prime", prime)
         self._set("points", points)
         self._set("vertices", vertices)
-        self._set("segments", segments)
-        # the hull check shared with index_report, then the endpoints and the
-        # segments; explicit raises, which survive `python -O`
+        # the hull check shared with index_report, then the endpoints;
+        # explicit raises, which survive `python -O`
         _hull_denominator(prime, vertices)
-        if not (
-            vertices[0] == points[0] and vertices[-1] == points[-1]
-            and segments == _segments(vertices)
-        ):
+        if not (vertices[0] == points[0] and vertices[-1] == points[-1]):
             raise DomainError("Newton polygon is not a convex hull of its points")
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The hull's segments, left to right, built from the vertices on each read."""
+        v = self.vertices
+        return tuple(
+            Segment(slope=Fraction(b[1] - a[1], b[0] - a[0]), length=b[0] - a[0], start=a, end=b)
+            for a, b in zip(v, v[1:])
+        )
 
     @property
     def slopes(self) -> list[Fraction]:
@@ -119,16 +120,6 @@ class NewtonIndexReport(Record):
         )
 
 
-def strip_x_powers(f: Poly) -> tuple[int, Poly]:
-    """Write f = x^k * h with h(0) != 0; returns (k, h)."""
-    if f.is_zero():
-        raise DomainError("zero polynomial")
-    k = 0
-    while f.coeffs[k] == 0:
-        k += 1
-    return k, Poly(f.coeffs[k:])
-
-
 def _lower_hull(points: list[Point]) -> list[Point]:
     """The lower hull's vertices, left to right, of points ascending in x
     (monotone chain); a point on a segment is never a vertex."""
@@ -147,20 +138,6 @@ def _hull_push(hull: list[Point], x: int, y: int) -> None:
             break
         hull.pop()
     hull.append((x, y))
-
-
-def polygon_from_points(p: int, points: list[Point]) -> NewtonPolygon:
-    """The Newton polygon at p of the points (j, height), ascending in j: their
-    lower convex hull, checked by the NewtonPolygon record."""
-    vertices = tuple(_lower_hull(points))
-    return NewtonPolygon(p, tuple(points), vertices, _segments(vertices))
-
-
-def _segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
-    return tuple(
-        Segment(slope=Fraction(b[1] - a[1], b[0] - a[0]), length=b[0] - a[0], start=a, end=b)
-        for a, b in zip(vertices, vertices[1:])
-    )
 
 
 def _hull_denominator(p: int, hull: Sequence[Point]) -> int:
@@ -210,25 +187,31 @@ def _valuation_points(f: Poly, p: int) -> list[Point]:
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
+    """The Newton polygon of f at p: the lower convex hull of f's own points
+    (j, ord_p(a_j)), checked by the NewtonPolygon record."""
     if f.is_zero() or f[0] == 0:
         raise DomainError("Newton polygon requires a_0 != 0; strip x-powers first")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return polygon_from_points(p, _valuation_points(f, p))
+    points = _valuation_points(f, p)
+    return NewtonPolygon(p, tuple(points), tuple(_lower_hull(points)))
 
 
 def newton_index(f: Poly) -> NewtonIndexReport:
     """lcm of the slope denominators over all contributing primes.
 
     Scaling f by a nonzero rational only translates each polygon vertically,
-    so the index is computed on the primitive part after stripping x-powers.
+    and a factor x^k only moves it sideways, so the index is read off the
+    integer coefficients g of the primitive part with its x-powers dropped:
+    outside the primes of g_0 * g_n each polygon is one slope-0 segment.
     """
     if f.is_zero():
         raise DomainError("zero polynomial")
-    _, h = strip_x_powers(f)
-    g, _ = primitive_scale(h)
-    primes = sorted(candidate_primes(g)) if g.degree >= 1 else []
-    return index_report({p: _lower_hull(_valuation_points(g, p)) for p in primes})
+    g, _ = primitive_scale(f)
+    g = g[next(j for j, c in enumerate(g) if c):]  # x^k * h -> h
+    primes = sorted(prime_factors(g[0] * g[-1])) if len(g) > 1 else []
+    return index_report({p: _lower_hull([(j, _multiplicity(c, p)) for j, c in enumerate(g) if c])
+                         for p in primes})
 
 
 def single_slope_irreducibility_evidence(f: Poly) -> bool:

@@ -117,9 +117,10 @@ def render_poly(f: Poly) -> str:
     return ",".join(str(c) for c in f.coeffs)
 
 
-def primitive_scale(f: Poly) -> tuple[Poly, Fraction]:
+def primitive_scale(f: Poly) -> tuple[list[int], Fraction]:
     """Write f = c * g with g a primitive integer polynomial (content 1,
-    positive leading coefficient); returns (g, c)."""
+    positive leading coefficient); returns (g, c), g as the list of its
+    ascending integer coefficients."""
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no primitive part")
     # *-arguments from a list, not a generator: a tuple built from a
@@ -132,8 +133,7 @@ def primitive_scale(f: Poly) -> tuple[Poly, Fraction]:
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
-    g = Poly.from_coeffs([a // content for a in ints])
-    return g, Fraction(content, den_lcm)
+    return [a // content for a in ints], Fraction(content, den_lcm)
 
 
 def _sylvester(fd: Sequence[int], gd: Sequence[int]) -> list[list[int]]:
@@ -185,9 +185,7 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return g.coeffs[0] ** n
     fp, cf = primitive_scale(f)
     gp, cg = primitive_scale(g)
-    fd = [int(c) for c in reversed(fp.coeffs)]
-    gd = [int(c) for c in reversed(gp.coeffs)]
-    det = _bareiss_det(_sylvester(fd, gd))
+    det = _bareiss_det(_sylvester(fp[::-1], gp[::-1]))
     return cf**m * cg**n * det
 
 

@@ -16,7 +16,6 @@ from itertools import compress, count
 from typing import Iterator, Union
 
 from .errors import BadPrimeError, DomainError
-from .polys import Poly
 
 _SIEVE_LIMIT = 1 << 16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -156,13 +155,3 @@ def prime_factors(m: int) -> set[int]:
     if m > 1:
         _add_large_prime_factors(m, out)
     return out
-
-
-def candidate_primes(g: Poly) -> set[int]:
-    """Primes dividing a_0 * a_n of a primitive integer polynomial; outside
-    this set the Newton polygon is a single slope-0 segment."""
-    if g.is_zero() or g[0] == 0:
-        raise DomainError("constant term is zero; strip x-powers first")
-    if any(c.denominator != 1 for c in g.coeffs):
-        raise DomainError("candidate_primes expects an integer polynomial")
-    return prime_factors(int(g[0]) * int(g.leading))

@@ -10,7 +10,9 @@ decides them from the reduction mod p.  Laguerre polynomials come from their
 defining sum, where the library rescales its integral form.  The GLP drops
 come from factoring each factor k*mu + lam on its own, where the library
 sieves along the progression, and witness slopes are read from `Fraction`
-slopes, where the library reads integer rises and runs.
+slopes, where the library reads integer rises and runs.  The Newton index is
+read from the Fraction coefficients of the primitive part, numerator and
+denominator valuations both, where the library takes integer coefficients.
 """
 
 import math
@@ -247,6 +249,40 @@ def drops_by_factoring(n, lam, mu):
                 m, e = m // p, e + 1
             drops.setdefault(p, []).append((k, e))
     return drops
+
+
+def _fraction_valuation(q, p):
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def rational_newton_index(f: Poly):
+    """(index, {p: hull vertices}) of f != 0 in Fractions: the x-powers
+    dropped, the primitive part f / c with c = +-gcd(numerators) /
+    lcm(denominators) (the sign of the leading coefficient), and at each prime
+    of its a_0 * a_n, ascending, the extreme-point hull of the points
+    (j, ord_p) of its nonzero coefficients; the index is the lcm of the
+    slopes' denominators."""
+    from glpgalois.primes import prime_factors
+
+    cs = list(f.coeffs)
+    while cs[0] == 0:
+        cs.pop(0)
+    c = Fraction(math.gcd(*(a.numerator for a in cs)), math.lcm(*(a.denominator for a in cs)))
+    g = [a / (c if cs[-1] > 0 else -c) for a in cs]
+    if any(a.denominator != 1 for a in g) or g[-1] < 0:
+        raise AssertionError(f"primitive part of {f} is not a positive integer polynomial")
+    index, vertices = 1, {}
+    for p in sorted(prime_factors(g[0] * g[-1])) if len(g) > 1 else []:
+        hull = extreme_point_hull([(j, _fraction_valuation(a, p)) for j, a in enumerate(g) if a])
+        for a, b in zip(hull, hull[1:]):
+            index = math.lcm(index, Fraction(b[1] - a[1], b[0] - a[0]).denominator)
+        vertices[p] = tuple(hull)
+    return index, vertices
 
 
 def fraction_witnesses(vertices):

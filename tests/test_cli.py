@@ -134,6 +134,24 @@ class TestFrobenius:
                                  "--frobenius-samples", count)
             assert (code, out, err) == (1, "", "error: need at least one sample\n"), count
 
+    @pytest.mark.parametrize("count", ["3", "5", "1000000000", "-3"])
+    def test_prime_and_sample_count_are_exclusive(self, capsys, count):
+        # a single prime is one sample; a count beside it is a usage error,
+        # in either order, also for the default count 5
+        for options in (["--prime", "5", "--frobenius-samples", count],
+                        [f"--frobenius-samples={count}", "--prime", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["frobenius", "--poly", "1,0,1", *options])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == "", options
+            assert err.startswith("usage: ") and "not allowed with argument" in err, err
+
+    def test_sample_count_defaults_to_five(self, capsys):
+        default = run(capsys, "frobenius", "--poly", "1,0,1", "--json")
+        assert default == run(capsys, "frobenius", "--poly", "1,0,1", "--frobenius-samples", "5",
+                              "--json")
+        assert default[0] == 0 and len(json.loads(default[1])["samples"]) == 5
+
 
 class TestGlpClassify:
     def test_golden(self, capsys):

@@ -51,6 +51,7 @@ FIXED = [
     ["frobenius", "--poly", "1,0,1", "--frobenius-samples", "-1"],
     ["frobenius", "--poly", "1,0,1", "--prime", str(PSI_12)],
     ["frobenius", "--poly=1,1,1", "--frobenius-samples", "1000000000"],  # past the sample budget
+    ["frobenius", "--poly", "1,0,1", "--prime", "5", "--frobenius-samples", "1000000000"],
     ["np", "--poly", "1,2", "--prime", "-3"],
     ["np", "--poly", "1,2", "--prime", "x"],
     ["glp-classify", "--n", "0", "--alpha", "0"],

@@ -69,6 +69,12 @@ def test_subcommand_loads_only_its_modules(argv, absent):
     assert not loaded & ({f"glpgalois.{m}" for m in absent} | NEVER_LOADED), argv
 
 
+def test_primes_loads_no_polys():
+    # the primes of a_0 * a_n are read from integers, so primes needs no Poly
+    loaded = set(json.loads(fresh("import glpgalois.primes\n" + REPORT_MODULES)))
+    assert "glpgalois.primes" in loaded and "glpgalois.polys" not in loaded, loaded
+
+
 def test_degree_set_filter_loads_modp():
     # n = 12, alpha = 0 has no single-slope polygon; the mod-p filter proves it
     loaded = loaded_after(["glp-classify", "--n", "12", "--alpha", "0"])

@@ -13,13 +13,17 @@ from glpgalois.newton import (
     index_report,
     newton_index,
     newton_polygon,
-    polygon_from_points,
     single_slope_irreducibility_evidence,
-    strip_x_powers,
 )
 from glpgalois.polys import Poly, parse_poly, poly_from_coeffs, primitive_scale
 
-from oracles import brute_lower_hull, extreme_point_hull, fraction_witness, fraction_witnesses
+from oracles import (
+    brute_lower_hull,
+    extreme_point_hull,
+    fraction_witness,
+    fraction_witnesses,
+    rational_newton_index,
+)
 
 
 def rand_nonzero_constant_poly(rng, max_deg=12, span=10**4):
@@ -42,9 +46,9 @@ class TestPolygon:
     def test_hull_invariants_raise(self):
         np = newton_polygon(parse_poly("6,18,9,1"), 3)
         with pytest.raises(DomainError):
-            NewtonPolygon(np.prime, np.points, ((0, 0), (3, 0)), np.segments)
+            NewtonPolygon(np.prime, np.points, ((0, 0), (3, 0)))
         with pytest.raises(DomainError):
-            NewtonPolygon(np.prime, np.points, np.vertices, np.segments * 2)
+            NewtonPolygon(np.prime, np.points, ((0, 1), (1, 2), (3, 0)))
 
     def test_cubic_example(self):
         np = newton_polygon(parse_poly("6,18,9,1"), 3)
@@ -87,7 +91,8 @@ class TestPolygon:
     def test_hull_on_plateaus_matches_extreme_points(self):
         # long runs of equal heights, as in the GLP polygons above n, with x
         # gaps where zero coefficients are omitted; the hull skips the points
-        # inside a run, the record keeps them all
+        # inside a run, the record keeps them all; each point (j, h) is the
+        # coefficient 5^h of x^j
         rng = random.Random(47)
         for _ in range(300):
             points, x = [], 0
@@ -96,17 +101,12 @@ class TestPolygon:
                 for _ in range(rng.choice((1, 2, rng.randint(3, 20)))):
                     points.append((x, h))
                     x += rng.choice((1, 1, 1, 2, 7))
-            np = polygon_from_points(5, points)
+            coeffs = [0] * (points[-1][0] + 1)
+            for j, h in points:
+                coeffs[j] = Fraction(5) ** h
+            np = newton_polygon(poly_from_coeffs(coeffs), 5)
             assert np.points == tuple(points)
             assert list(np.vertices) == extreme_point_hull(points), points
-
-
-class TestStripXPowers:
-    def test_strip(self):
-        k, h = strip_x_powers(parse_poly("0,0,3,1"))
-        assert k == 2 and h == parse_poly("3,1")
-        k, h = strip_x_powers(parse_poly("1,1"))
-        assert k == 0
 
 
 class TestNewtonIndex:
@@ -137,6 +137,31 @@ class TestNewtonIndex:
             f = rand_nonzero_constant_poly(rng, max_deg=8, span=100)
             c = Fraction(rng.choice([1, -1]) * rng.randint(1, 60), rng.randint(1, 60))
             assert newton_index(f).index == newton_index(f * c).index
+
+    def test_x_powers_do_not_change_the_report(self):
+        # newton_index(x^k * h) == newton_index(h): the x-powers are dropped
+        assert newton_index(parse_poly("0,0,3,1")) == newton_index(parse_poly("3,1"))
+        rng = random.Random(73)
+        for _ in range(60):
+            h = rand_nonzero_constant_poly(rng, max_deg=8, span=100)
+            for k in (1, 2, 3):
+                assert newton_index(Poly.from_coeffs([0] * k + list(h.coeffs))) == newton_index(h)
+
+    def test_matches_the_rational_oracle(self):
+        # the integer path (primitive integers, numerator valuations only)
+        # against Fractions all the way: rational coefficients, 0-3 factors
+        # of x, negative leading coefficients, degrees 0 and 1 included
+        rng = random.Random(79)
+        for i in range(600):
+            deg = i % 11
+            coeffs = [Fraction(rng.randint(-10**4, 10**4), rng.choice((1, 1, 2, 3, 12, 35, 98)))
+                      for _ in range(deg + 1)]
+            coeffs[0] = coeffs[0] or Fraction(rng.choice((-7, 1, 10)), rng.choice((1, 5)))
+            coeffs[-1] = coeffs[-1] or Fraction(rng.choice((-9, 2)))
+            f = Poly.from_coeffs([0] * rng.randint(0, 3) + coeffs)
+            index, vertices = rational_newton_index(f)
+            r = newton_index(f)
+            assert (r.index, r.vertices, list(r.vertices)) == (index, vertices, list(vertices)), f
 
     def test_x_scaling_invariance(self):
         rng = random.Random(59)
@@ -197,7 +222,7 @@ class TestIndexReport:
             f = rand_nonzero_constant_poly(rng, max_deg=10, span=10**5)
             r = newton_index(f)
             g, _ = primitive_scale(f)  # the index is taken on the primitive part
-            polygons = {p: newton_polygon(g, p) for p in r.vertices}
+            polygons = {p: newton_polygon(Poly.from_coeffs(g), p) for p in r.vertices}
             assert r.vertices == {p: np.vertices for p, np in polygons.items()}
             ramified = {p: [s for s in np.slopes if s.denominator > 1] for p, np in polygons.items()}
             assert r.witnesses == {p: sl for p, sl in ramified.items() if sl}

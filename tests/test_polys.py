@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -108,11 +109,13 @@ class TestShift:
 class TestPrimitiveScale:
     def test_examples(self):
         g, c = primitive_scale(parse_poly("1,-2,1/2"))
-        assert g == parse_poly("2,-4,1") and c == Fraction(1, 2)
+        assert g == [2, -4, 1] and c == Fraction(1, 2)
         g, c = primitive_scale(parse_poly("2,-4,1"))
-        assert g == parse_poly("2,-4,1") and c == 1
+        assert g == [2, -4, 1] and c == 1
         g, c = primitive_scale(parse_poly("6,-3"))
-        assert g == parse_poly("-2,1") and c == -3
+        assert g == [-2, 1] and c == -3
+        g, c = primitive_scale(parse_poly("0,0,-4/3,2"))  # x-powers are kept
+        assert g == [0, 0, -2, 3] and c == Fraction(2, 3)
 
     def test_reconstruction(self):
         rng = random.Random(13)
@@ -121,9 +124,9 @@ class TestPrimitiveScale:
             if f.is_zero():
                 continue
             g, c = primitive_scale(f)
-            assert g * c == f
-            assert g.leading > 0
-            assert all(x.denominator == 1 for x in g.coeffs)
+            assert all(type(x) is int for x in g)
+            assert Poly.from_coeffs(g) * c == f
+            assert g[-1] > 0 and math.gcd(*g) == 1
 
 
 class TestResultant:

@@ -8,13 +8,12 @@ from glpgalois.errors import BadPrimeError, DomainError
 from glpgalois.polys import parse_poly, poly_from_coeffs
 from glpgalois.primes import (
     SMALL_PRIMES,
-    candidate_primes,
     is_prime,
     ord_p,
     prime_factors,
     primes_in_ap_interval,
 )
-from glpgalois.newton import newton_polygon
+from glpgalois.newton import newton_index, newton_polygon
 
 from oracles import is_prime_factor_set, lucas_lehmer, trial_division_is_prime
 
@@ -134,14 +133,13 @@ def _coprime(a, b):
 
 
 class TestCandidatePrimes:
-    def test_examples(self):
-        assert candidate_primes(parse_poly("2,-4,1")) == {2}
-        assert candidate_primes(parse_poly("6,18,9,1")) == {2, 3}
-        assert candidate_primes(parse_poly("1,1,1")) == set()
+    """The candidate primes are the keys of newton_index(f).vertices: the
+    primes of a_0 * a_n of the primitive part with its x-powers dropped."""
 
-    def test_zero_constant_rejected(self):
-        with pytest.raises(DomainError):
-            candidate_primes(parse_poly("0,1"))
+    def test_examples(self):
+        assert set(newton_index(parse_poly("2,-4,1")).vertices) == {2}
+        assert set(newton_index(parse_poly("6,18,9,1")).vertices) == {2, 3}
+        assert set(newton_index(parse_poly("1,1,1")).vertices) == set()
 
     def test_prime_factors_large(self):
         assert prime_factors(2**5 * 3 * 1000003) == {2, 3, 1000003}
@@ -154,7 +152,7 @@ class TestCandidatePrimes:
             f = poly_from_coeffs([rng.randint(-50, 50) for _ in range(rng.randint(2, 8))])
             if f.is_zero() or f[0] == 0 or f.degree < 1:
                 continue
-            cand = candidate_primes(f)
+            cand = set(newton_index(f).vertices)
             outside = [p for p in [2, 3, 5, 7, 11, 13, 17, 19, 101, 257] if p not in cand][:20]
             for p in outside:
                 np = newton_polygon(f, p)

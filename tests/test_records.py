@@ -140,8 +140,8 @@ def invalid_values():
     c = SAMPLES[Classification][0]
     no_claim = GaloisCertificate(INCONCLUSIVE, 20, Fraction(0), 1, None)
     return [
-        (NewtonPolygon, (polygon.prime, polygon.points, ((0, 0), (3, 0)), polygon.segments)),
-        (NewtonPolygon, (polygon.prime, polygon.points, polygon.vertices, polygon.segments * 2)),
+        (NewtonPolygon, (polygon.prime, polygon.points, ((0, 0), (3, 0)))),
+        (NewtonPolygon, (polygon.prime, polygon.points, ((0, 1), (1, 2), (3, 0)))),
         (GaloisCertificate, (CONTAINS_AN, 9, Fraction(0), 7 * 2520, "assumed", 7, 7, None)),
         (GaloisCertificate, (CONTAINS_AN, 9, Fraction(0), 7 * 2520, "assumed", None, 7, None)),
         (GaloisCertificate, (CONTAINS_AN, 20, Fraction(0), cert.newton_index * 13, "assumed",
