@@ -8,9 +8,16 @@ first.  Products use Kronecker substitution: the coefficients are packed into
 slots of one big integer, multiplied, and unpacked.  Slots of 1, 2, 4 or 8
 bytes are packed and unpacked in bulk through `array`; wider ones (large p)
 byte by byte.  Reduction mod fbar adds multiples of a packed table of x^k mod
-fbar; h -> h^p adds multiples of a packed Frobenius table of x^(ip) mod fbar.
-The h - x of a run of isqrt(n) consecutive d meet f in one gcd.  Whether p is
-good is decided once, by the reduction itself, and p is not bounded.
+fbar, k <= 2n - 2, built packed: x times a row is the row without its top
+slot, shifted up one slot, plus the top times x^n mod fbar, and one slot-wise
+reduction of all the rows follows.  h -> h^p adds multiples of the packed
+Frobenius rows x^(ip) mod fbar: read from the table while ip <= 2n - 2, and
+past it each the packed product of the row before and x^p, reduced by the
+same table; no row is kept as a list.  The h - x of a run of isqrt(n)
+consecutive d meet f in one gcd g, which is divided out of the cofactor once
+and then split d by d; once deg g < 2d, g holds one factor and is one block.
+Whether p is good is decided once, by the reduction itself, and p is not
+bounded.
 
 Euclid (gcd and division) also runs on packed operands.  Eliminating the
 leading slot of A adds t * (B << shift) with t = -lc(A) / lc(B) mod p, one
@@ -143,6 +150,26 @@ def _product(a: Residues, b: Residues, p: int) -> Residues:
     return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, p)
 
 
+def _power_table(fbar: Residues, p: int, w: int) -> list[int]:
+    """The rows x^k mod fbar, k = 0..2n-2, of a monic fbar of degree n >= 1,
+    packed in w-byte slots.  Past x^(n-1) each row is x times the one before:
+    the row without its top slot, shifted up one slot, plus top * (x^n mod
+    fbar).  Only the top slot is reduced on the way, so a slot gains at most
+    (p - 1)^2 a row and stays below n(p - 1)^2; one slot-wise reduction of
+    all those rows follows."""
+    n = len(fbar) - 1
+    W = 8 * w
+    xn = _pack([-c % p for c in fbar[:n]], w)
+    top, low = W * (n - 1), (1 << W * (n - 1)) - 1
+    stack, t = 0, xn
+    for i in range(n - 1):
+        stack |= t << i * n * W
+        t = ((t & low) << W) + (t >> top) % p * xn
+    stack = _pack(_unpack(stack, w, (n - 1) * n, p), w)
+    row = (1 << n * W) - 1
+    return [1 << W * k for k in range(n)] + [stack >> i * n * W & row for i in range(n - 1)]
+
+
 def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     """Multiplication and the Frobenius map h -> h^p in F_p[x]/(fbar), for a
     monic fbar of degree n >= 1.  h^p = h(x^p) is F_p-linear, so it is the sum
@@ -151,31 +178,37 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     # a slot collects at most n products from a multiplication or a Frobenius
     # sum and n - 1 from the reduction, each at most (p - 1)^2
     w = _slot_bytes(2 * n * (p - 1) ** 2)
-    xn = [-c % p for c in fbar[:n]]  # x^n mod fbar
-    table, t = [1 << 8 * w * k for k in range(n)], xn  # table[k] = x^k mod fbar, packed
-    for _ in range(n - 1):
-        table.append(_pack(t, w))
-        t = [(lo + t[-1] * c) % p for lo, c in zip([0] + t[:-1], xn)]
-    high_table, shift = table[n:], 8 * w * n
+    W, shift = 8 * w, 8 * w * n
+    table = _power_table(fbar, p, w)
+    high_table, low = table[n:], (1 << shift) - 1
+
+    def reduce_product(c: int) -> int:
+        # a packed product of at most 2n - 1 slots, down to n unreduced slots
+        return (c & low) + sum(map(mul, _unpack(c >> shift, w, n - 1, p), high_table))
 
     def mulmod(a: Residues, b: Residues) -> Residues:
         pa = _pack(a, w)
-        c = pa * (pa if b is a else _pack(b, w))
-        high = _unpack(c >> shift, w, n - 1, p)
-        r = (c & ((1 << shift) - 1)) + sum(map(mul, high, high_table))
-        return _trim(_unpack(r, w, n, p))
+        return _trim(_unpack(reduce_product(pa * (pa if b is a else _pack(b, w))), w, n, p))
 
-    # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then by steps of x^p
+    def row_product(c: int) -> int:
+        # reduced, with every slot below p like a table row
+        return _pack(_unpack(reduce_product(c), w, n, p), w)
+
+    # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then each the
+    # packed product of the last row and x^p
     first = (2 * n - 2) // p + 1
     rows = table[: first * p : p]
-    # x^p, once some row needs it: the table's row while p <= 2n - 2, else powered
-    xp = _trim(_unpack(rows[1], w, n, p)) if first > 1 else [0, 1]
-    for bit in bin(p)[3:] if first == 1 < n else "":
-        xp = mulmod(mulmod(xp, xp), [0, 1]) if bit == "1" else mulmod(xp, xp)
-    r = _trim(_unpack(rows[-1], w, n, p))
-    for _ in range(first, n):
-        r = mulmod(r, xp)
-        rows.append(_pack(r, w))
+    if first < n:
+        # x^p: the table's row while p <= 2n - 2, else powered from x
+        xp = table[p] if first > 1 else 1 << W
+        for bit in bin(p)[3:] if first == 1 else "":
+            xp = row_product(xp * xp)
+            if bit == "1":
+                xp = row_product(xp << W)
+        r = rows[-1]
+        for _ in range(first, n):
+            r = row_product(r * xp)
+            rows.append(r)
 
     def frobenius(h: Residues) -> Residues:
         return _trim(_unpack(sum(map(mul, h, rows)), w, n, p))
@@ -266,7 +299,8 @@ def _good_reduction(f: Poly, p: int) -> Optional[Residues]:
     if f.leading.numerator % p == 0 or any(c.denominator % p == 0 for c in f.coeffs):
         return None
     inv = f.leading.denominator * pow(f.leading.numerator, -1, p)
-    fbar = [c.numerator * pow(c.denominator, -1, p) * inv % p for c in f.coeffs]
+    fbar = [(c.numerator if c.denominator == 1 else c.numerator * pow(c.denominator, -1, p)) * inv % p
+            for c in f.coeffs]
     deriv = _trim([k * c % p for k, c in enumerate(fbar)][1:])
     return fbar if len(_gcd(fbar, deriv, p)) == 1 else None
 
@@ -282,7 +316,7 @@ def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
     """Degrees of the irreducible factors of a square-free monic fbar, plus
     the per-degree blocks for the reconstruction check.  h = x^(p^d) is kept
     mod fbar itself: every cofactor divides fbar, so the gcd is the same.  A
-    run's gcd g is split d by d only when it is not 1."""
+    run's gcd g is divided out of the cofactor once, then split d by d."""
     mulmod, frobenius = _quotient_ring(fbar, p)
     run = isqrt(len(fbar) - 1)
     degrees: list[int] = []
@@ -296,17 +330,24 @@ def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
             diff[1] = (diff[1] - 1) % p  # h - x
             diffs[d] = _trim(diff)
         g = _gcd(fcur, reduce(mulmod, diffs.values()), p)
+        if len(g) > 1:
+            fcur = _exact_quotient(fcur, g, p)
         # ascending, each block divided out of g first, as gcd(g, h - x) also
         # holds factors whose degree divides d; the last d takes the rest of g
         for e, diff in diffs.items():
-            if len(g) == 1:
+            if len(g) - 1 < 2 * e:
+                # every factor left in g has degree >= e, so g is one factor
+                if len(g) > 1:
+                    degrees.append(len(g) - 1)
+                    blocks.append(g)
                 break
             b = g if e == d else _gcd(g, diff, p)
             if len(b) > 1:
                 degrees.extend([e] * ((len(b) - 1) // e))
                 blocks.append(b)
+                if b is g:
+                    break
                 g = _exact_quotient(g, b, p)
-                fcur = _exact_quotient(fcur, b, p)
     if len(fcur) > 1:  # no factor of degree <= deg/2 is left
         degrees.append(len(fcur) - 1)
         blocks.append(fcur)

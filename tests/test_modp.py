@@ -21,6 +21,7 @@ from glpgalois.modp import (
     _gcd,
     _monic,
     _pack,
+    _power_table,
     _product,
     _slot_bytes,
     _trim,
@@ -310,6 +311,37 @@ class TestBatchedDdf:
                 f = f * poly_from_coeffs([-a, 1])
             assert factor_degrees(f, p).degrees == (1,) * len(roots)
 
+    # a run's gcd g is divided out of the cofactor once, then split from its
+    # lowest degree e up; once deg g < 2e it holds one factor, taken whole.
+    # Each case sits at that boundary: deg g = 2e - 1 (one factor) or 2e
+    # (two factors of degree e, still split).  p <= 2n - 2 reads Frobenius
+    # rows from the reduction table, p > 2n - 2 builds them from x^p
+    @pytest.mark.parametrize("p, degrees", [
+        (2, [6, 6, 13]),  # run 6..10: deg g = 12 = 2 * 6, split by a gcd
+        (2, [9, 16]),  # run 6..10: deg g = 9 in [6, 12), one block
+        (3, [1, 2, 2, 11]),  # run 1..4: after degree 1, deg g = 4 = 2 * 2
+        (3, [1, 3, 12]),  # run 1..4: after degree 1, deg g = 3 = 2 * 2 - 1
+        (17, [1, 3, 5]),  # n 9, p > 16: after degree 1, deg g = 3 at e = 2
+        (17, [4, 5]),  # run 4..4: one factor of degree 4
+        (19, [1, 2, 2, 4]),  # after degree 1, deg g = 4 = 2 * 2 at e = 2 < d = 3
+        (31, [3, 3, 5, 5]),  # n 16, p > 30: deg g = 6 at e = 3 < d = 4, then 10 at e = d = 5
+    ])
+    def test_one_block_boundary(self, p, degrees):
+        f = _product_of_irreducibles(p, degrees, random.Random(sum(degrees) * p))
+        assert factor_degrees(f, p).degrees == tuple(sorted(degrees))
+
+    def test_one_factor_left_costs_no_gcd(self, monkeypatch):
+        # [1, 3, 5] at 17: one gcd for the run 1..3, one to split off degree 1;
+        # the degree-3 factor left is a block without another gcd
+        f = _product_of_irreducibles(17, [1, 3, 5], random.Random(9 * 17))
+        fbar = [int(c) % 17 for c in f.coeffs]
+        calls = []
+        original = modp._gcd
+        monkeypatch.setattr(modp, "_gcd", lambda a, b, p: calls.append(p) or original(a, b, p))
+        degrees, blocks = modp._ddf_degrees(fbar, 17)
+        assert sorted(degrees) == [1, 3, 5] and len(blocks) == 3
+        assert len(calls) == 2
+
     def test_p2_every_degree_up_to_24(self):
         # at p = 2 every Frobenius row x^(2i), i < n, is in the reduction table
         rng = random.Random(79)
@@ -330,6 +362,20 @@ class TestSlotWidths:
                 w = _slot_bytes(bound)
                 assert bound < 1 << 8 * w
                 assert w in (1, 2, 4, 8) if bound.bit_length() < 64 else w > 8
+
+    @pytest.mark.parametrize("p", [2, 3, 251, 65537, 4294967311])
+    def test_power_table_rows(self, p):
+        # row k is x^k mod fbar with every slot reduced below p; the prime
+        # above 2^32 packs its 9-byte slots byte by byte
+        rng = random.Random(p)
+        for n in range(1, 31):
+            fbar = [rng.randrange(p) for _ in range(n)] + [1]
+            w = _slot_bytes(2 * n * (p - 1) ** 2)
+            table = _power_table(fbar, p, w)
+            assert len(table) == 2 * n - 1
+            for k, row in enumerate(table):
+                rest = schoolbook_divmod([0] * k + [1], fbar, p)[1]
+                assert row == _pack(rest + [0] * (n - len(rest)), w), (p, n, k)
 
     @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
     def test_pack_round_trip_full_slots(self, w):
