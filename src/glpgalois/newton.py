@@ -12,10 +12,13 @@ slope's denominator is run // gcd(rise, run).  So a `NewtonIndexReport`
 holds the index and the vertices at every candidate prime, and a slope
 becomes a `Fraction` only when it is read: `witnesses` builds the slopes of
 denominator > 1, `witness(q)` only the one it returns.  `index_report` is
-the one index builder: `newton_index` feeds it the hulls of the integer
-valuations of f's primitive part, and `glp` hulls it builds from the small
-factors of the GLP coefficients with `_hull_push`, the monotone-chain step
-of `_lower_hull`, one candidate vertex at a time.  A `NewtonPolygon`
+the one index builder.  `newton_index` feeds it the hulls of f's primitive
+integer part g: its candidate primes are those of g_0 and those of g_n,
+each end factored alone, and at each the hull is flat at height 0 between
+the first and the last coefficient prime to p, so only the points outside
+that run get a valuation.  `glp` feeds it hulls it builds from the small
+factors of the GLP coefficients.  Both push one candidate vertex at a time
+with `_hull_push`, the monotone-chain step of `_lower_hull`.  A `NewtonPolygon`
 record, built only by `newton_polygon`, keeps f's own points and the hull
 vertices; its `Segment`s, each with a `Fraction` slope, are built from the
 vertices when read.  The record and `index_report` check convexity by the
@@ -209,9 +212,33 @@ def newton_index(f: Poly) -> NewtonIndexReport:
         raise DomainError("zero polynomial")
     g, _ = primitive_scale(f)
     g = g[next(j for j, c in enumerate(g) if c):]  # x^k * h -> h
-    primes = sorted(prime_factors(g[0] * g[-1])) if len(g) > 1 else []
-    return index_report({p: _lower_hull([(j, _multiplicity(c, p)) for j, c in enumerate(g) if c])
-                         for p in primes})
+    # the primes of g_0 * g_n, each end factored alone: trial division of an
+    # end stops at p^2 > m long before it would on their product
+    primes = sorted(prime_factors(g[0]) | prime_factors(g[-1])) if len(g) > 1 else []
+    return index_report({p: _hull_from_the_ends(g, p) for p in primes})
+
+
+def _hull_from_the_ends(g: list[int], p: int) -> list[Point]:
+    """The lower hull of the points (j, ord_p g_j), g_j != 0, of a primitive
+    integer g at a prime p.  Some g_j is a unit at p, so the hull is flat at
+    height 0 from the first unit lo to the last hi; the points between lie
+    on or above it, so only those outside [lo, hi] get a valuation."""
+    lo, hi = 0, len(g) - 1
+    while g[lo] % p == 0:
+        lo += 1
+    while g[hi] % p == 0:
+        hi -= 1
+    hull: list[Point] = []
+    for j in range(lo):
+        if g[j]:
+            _hull_push(hull, j, _multiplicity(g[j], p))
+    _hull_push(hull, lo, 0)
+    if hi > lo:
+        _hull_push(hull, hi, 0)
+    for j in range(hi + 1, len(g)):
+        if g[j]:
+            _hull_push(hull, j, _multiplicity(g[j], p))
+    return hull
 
 
 def single_slope_irreducibility_evidence(f: Poly) -> bool:

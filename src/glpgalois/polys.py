@@ -71,9 +71,12 @@ class Poly(Record):
         """Return g with g(x) = f(x - mu), in integers.  With D the common
         denominator of the c_j and t = -mu = a/b, D b^n f(x + t) = H(bx + a)
         for the integer H(y) = sum D c_j b^(n-j) y^j.  Synthetic division by
-        a gives K(y) = H(y + a), and g_j = k_j / (D b^(n-j))."""
+        a gives K(y) = H(y + a), and g_j = k_j / (D b^(n-j)).  A shift by 0
+        returns f itself: a Poly is immutable."""
         if self.is_zero():
             raise ZeroPolynomialError("cannot shift the zero polynomial")
+        if not mu:
+            return self
         t = -Fraction(mu)  # g(x) = f(x + t)
         a, b = t.numerator, t.denominator
         n = len(self.coeffs) - 1

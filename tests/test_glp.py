@@ -584,6 +584,24 @@ class TestEffortBudget:
             with pytest.raises(DomainError, match="effort budget N_BUDGET = 40"):
                 call(GlpParams(41, 0, 1))
 
+    def test_no_filter_past_its_budget(self, monkeypatch):
+        # L_9^(5/3) has no single-slope polygon and the mod-p filter proves it;
+        # one past FILTER_N_BUDGET the filter does not run and the basis is
+        # what a failed filter leaves
+        params = GlpParams.from_alpha(9, Fraction(5, 3))
+        monkeypatch.setattr(glp_module, "FILTER_N_BUDGET", 9)
+        assert classify(params).certificate.irreducibility_basis == "degree_set_filter"
+
+        def no_filter(f, primes_list):
+            raise AssertionError("filter ran past FILTER_N_BUDGET")
+
+        monkeypatch.setattr(glp_module, "FILTER_N_BUDGET", 8)
+        monkeypatch.setattr(modp_module, "degree_set_filter", no_filter)
+        c = classify(params)
+        assert (c.group, c.certificate.irreducibility_basis) == (GROUP_INCONCLUSIVE, None)
+        c = classify(params, assume_irreducible=True)
+        assert c.group in (GROUP_AN, GROUP_SN) and c.certificate.irreducibility_basis == ASSUMED
+
     def test_huge_degree_is_refused_at_once(self):
         for n in (glp_module.N_BUDGET + 1, 10**8):
             with pytest.raises(DomainError, match=f"degree {n} is over the effort budget"):

@@ -135,6 +135,21 @@ def test_huge_degree_exits_1_naming_the_budget():
         assert elapsed < 1.0, argv
 
 
+def test_degree_past_the_filter_budget_answers_inconclusive():
+    # n = 2000 is below N_BUDGET but over glp.FILTER_N_BUDGET: no single-slope
+    # polygon, and the mod-p filter on f is not run, so no proof
+    argv = ["glp-classify", "--n", "2000", "--alpha", "5/3", "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with time_budget(BUDGET_S), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    payload = json.loads(out.getvalue())
+    assert (code, err.getvalue()) == (0, "")
+    assert (payload["group"], payload["irreducibility_basis"]) == ("inconclusive", None)
+    assert elapsed < 1.0
+
+
 def test_sample_count_at_the_budget_answers():
     argv = ["frobenius", "--poly=1,1,1", "--frobenius-samples",
             str(cli.FROBENIUS_SAMPLE_BUDGET), "--json"]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from glpgalois import primes as primes_module
 from glpgalois.errors import DomainError
 from glpgalois.newton import (
     NewtonPolygon,
@@ -32,6 +33,15 @@ def rand_nonzero_constant_poly(rng, max_deg=12, span=10**4):
     coeffs[0] = rng.choice([1, -1]) * rng.randint(1, span)
     coeffs[-1] = rng.choice([1, -1]) * rng.randint(1, span)
     return poly_from_coeffs(coeffs)
+
+
+def assert_matches_the_oracle(f):
+    """newton_index(f) equals the Fraction oracle's index and vertices, primes
+    in the same (ascending) order; returns the report."""
+    index, vertices = rational_newton_index(f)
+    r = newton_index(f)
+    assert (r.index, r.vertices, list(r.vertices)) == (index, vertices, list(vertices)), f
+    return r
 
 
 class TestPolygon:
@@ -158,10 +168,60 @@ class TestNewtonIndex:
                       for _ in range(deg + 1)]
             coeffs[0] = coeffs[0] or Fraction(rng.choice((-7, 1, 10)), rng.choice((1, 5)))
             coeffs[-1] = coeffs[-1] or Fraction(rng.choice((-9, 2)))
-            f = Poly.from_coeffs([0] * rng.randint(0, 3) + coeffs)
-            index, vertices = rational_newton_index(f)
-            r = newton_index(f)
-            assert (r.index, r.vertices, list(r.vertices)) == (index, vertices, list(vertices)), f
+            assert_matches_the_oracle(Poly.from_coeffs([0] * rng.randint(0, 3) + coeffs))
+
+    # hulls from the ends, each against the oracle, which factors a_0 * a_n
+    # and hulls every point: p = 3 dividing both ends with one unit (lo = hi),
+    # zero coefficients in the left run, the right run and the flat middle,
+    # x-powers, rational coefficients and negative leading coefficients
+    END_CASES = [
+        ("9,3,6,1,3,18,27", {3: ((0, 2), (1, 1), (3, 0), (6, 3))}),
+        ("-40,4,0,2,0,0,1,0,6,0,24", {2: ((0, 3), (1, 2), (3, 1), (6, 0), (8, 1), (10, 3)),
+                                     3: ((0, 0), (6, 0), (10, 1)),
+                                     5: ((0, 1), (1, 0), (10, 0))}),
+        ("5,0,0,1,0,0,0,7,0,0,10", {2: ((0, 0), (7, 0), (10, 1)),
+                                    5: ((0, 1), (3, 0), (7, 0), (10, 1))}),
+        ("0,0,12,5,0,7,18", {2: ((0, 2), (1, 0), (3, 0), (4, 1)), 3: ((0, 1), (1, 0), (3, 0), (4, 2))}),
+        ("3/4,1/6,5,-7/2,9/8", None),
+        ("18,-5,4,-12", None),
+        ("-7/9,0,14/3,0,-21", None),
+    ]
+
+    def test_hulls_from_the_ends_match_the_oracle(self):
+        for text, want in self.END_CASES:
+            r = assert_matches_the_oracle(parse_poly(text))
+            if want is not None:
+                assert r.vertices == want, text
+
+    def test_shifted_polynomials_match_the_oracle(self):
+        # degrees 8-24 with runs of a small prime's multiples at either end
+        # (shift 0 keeps them), and their shifts by 1, -1 and 2
+        rng = random.Random(89)
+        for _ in range(150):
+            n = rng.randint(8, 24)
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[n] = coeffs[n] or -1
+            for run in (range(rng.randint(0, n)), range(rng.randint(1, n + 1), n + 1)):
+                p = rng.choice((2, 3, 5, 7))
+                for j in run:
+                    coeffs[j] *= p ** rng.randint(1, 3)
+            f = poly_from_coeffs(coeffs)
+            for mu in (0, 1, -1, 2):
+                assert_matches_the_oracle(f.shift(mu))
+
+    def test_each_end_is_factored_alone(self, monkeypatch):
+        # 1000003 and 1000033 are prime: trial division of each stops at
+        # p^2 > m, while their product has no factor below 2^16 and needs rho
+        def no_rho(m):
+            raise AssertionError(f"Pollard rho on {m}")
+
+        monkeypatch.setattr(primes_module, "_pollard_rho", no_rho)
+        with pytest.raises(AssertionError, match="Pollard rho"):
+            primes_module.prime_factors(1000003 * 1000033)
+        r = newton_index(poly_from_coeffs([1000003, 0, 0, 1000033]))
+        assert r.index == 3
+        assert r.vertices == {1000003: ((0, 1), (3, 0)), 1000033: ((0, 0), (3, 1))}
 
     def test_x_scaling_invariance(self):
         rng = random.Random(59)

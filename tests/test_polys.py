@@ -65,6 +65,8 @@ class TestShift:
     def test_identity_shift(self):
         f = parse_poly("2,-4,1")
         assert f.shift(0) == f
+        # a Poly is immutable, so a shift by 0 is f itself
+        assert f.shift(0) is f and f.shift(Fraction(0)) is f
 
     def test_square_shift(self):
         assert parse_poly("0,0,1").shift(1) == parse_poly("1,-2,1")  # (x-1)^2
@@ -85,8 +87,9 @@ class TestShift:
             assert g.shift(-mu) == f
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            Poly(()).shift(1)
+        for mu in (1, 0):
+            with pytest.raises(ZeroPolynomialError):
+                Poly(()).shift(mu)
 
     @pytest.mark.parametrize("mu", [0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3),
                                     Fraction(-123456789, 10**15 + 37)])
