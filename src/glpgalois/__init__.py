@@ -36,14 +36,10 @@ _HOMES = {
     "is_rational_square": "glp",
     "is_schur_square": "glp",
     "jordan_window_primes": "certify",
-    "lemma_key_check": "certify",
     "newton_index": "newton",
     "newton_polygon": "newton",
-    "ord_p": "primes",
     "parity_evidence": "modp",
     "parse_poly": "polys",
-    "poly_from_coeffs": "polys",
-    "primes_in_ap_interval": "primes",
     "primitive_scale": "polys",
     "render_poly": "polys",
     "resultant": "polys",

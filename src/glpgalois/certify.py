@@ -16,7 +16,7 @@ from ._record import Record
 from .errors import DomainError
 from .newton import NewtonIndexReport, newton_index
 from .polys import Poly
-from .primes import is_prime, ord_p
+from .primes import is_prime
 
 CONTAINS_AN = "contains_An"
 INDEX_DIVIDES = "index_divides_order_only"
@@ -87,31 +87,6 @@ def certificate_to_dict(cert: GaloisCertificate) -> dict:
 def jordan_window_primes(n: int) -> list[int]:
     """Primes q with n/2 < q < n - 2, descending; 2 is never one of them."""
     return [q for q in range((n - 4) | 1, n // 2, -2) if is_prime(q)]
-
-
-def lemma_key_check(n: int, c: Sequence[Union[int, Fraction]], p: int) -> bool:
-    """For f = sum binom(n,j) c_j x^j, check the four-valuation shortcut that
-    forces (0,1) and (p,0) to open the p-adic polygon (slope -1/p):
-    n/2 < p < n-2; ord_p(c_j) >= 0 everywhere; = 1 for 1 <= j <= n-p; = 0 at j=p.
-    """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p <= 2 or p >= n:
-        raise DomainError(f"prime {p} out of range for degree {n}")
-    if len(c) != n + 1:
-        raise DomainError("need coefficients c_0..c_n")
-    # a zero c_j lies above every line
-    return _lemma_key_holds(n, p, [ord_p(cj, p) if cj else None for cj in c])
-
-
-def _lemma_key_holds(n: int, p: int, vals: Sequence[Optional[int]]) -> bool:
-    """lemma_key_check's shortcut on vals[j] = ord_p(c_j), j = 0..n, with None
-    where c_j = 0."""
-    if not (2 * p > n and p < n - 2):
-        return False
-    if any(v < 0 for v in vals if v is not None):
-        return False
-    return all(vals[j] == 1 for j in range(1, n - p + 1)) and vals[p] == 0
 
 
 def certify_large_galois(

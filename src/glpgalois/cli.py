@@ -176,8 +176,9 @@ def _cmd_glp_scan(args) -> int:
         raise DomainError("--jobs must be at least 1")
     alpha = str(_parse_fraction(args.alpha))
     tasks = [(n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1)]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus, len(tasks))
+    if jobs > 1:
         import multiprocessing  # only a pool needs it; kept out of every other start-up
 
         with multiprocessing.Pool(jobs) as pool:

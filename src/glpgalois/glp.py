@@ -295,19 +295,17 @@ def is_rational_square(q: Union[int, Fraction]) -> bool:
     )
 
 
-def find_criterion_prime(params: GlpParams) -> Optional[tuple[int, int]]:
+def find_criterion_prime(
+    params: GlpParams, drops: Optional[dict] = None
+) -> Optional[tuple[int, int]]:
     """Largest prime p = mu*ell + lam in the search window that passes the
-    coefficient-valuation shortcut (lemma_key_check on the c_j); returns
-    (p, ell) or None.  For alpha < -n every factor k*mu + lam with k <= n is
-    negative, so there is none."""
-    _check_effort(params.n)
-    return _criterion_prime(params)
-
-
-def _criterion_prime(params: GlpParams, drops: Optional[dict] = None) -> Optional[tuple[int, int]]:
-    """find_criterion_prime, from the drops when given.  ord_p(c_j) sums the
+    coefficient-valuation shortcut on the c_j, read from the drops (built
+    here when not given); returns (p, ell) or None.  ord_p(c_j) sums the
     drops at k > j and must be 1 at 1 <= j <= n - p and 0 at j = p: among
-    k = 2..n one k has p | k*mu + lam, to the first power, with n - p < k <= p."""
+    k = 2..n one k has p | k*mu + lam, to the first power, with n - p < k <= p.
+    For alpha < -n every factor k*mu + lam with k <= n is negative, so there
+    is none."""
+    _check_effort(params.n)
     n, lam, mu = params.n, params.lam, params.mu
     lo = -((-(n * mu + mu + lam)) // (mu + 1))  # ceil
     if n < 5 or lam < -n * mu or lo > n - 3:
@@ -351,7 +349,7 @@ def classify(params: GlpParams, assume_irreducible: bool = False) -> Classificat
     drops = _drops(params)
     report = _atlas(n, drops)
     basis = _irreducibility_evidence(params, report, assume_irreducible)
-    crit = _criterion_prime(params, drops)
+    crit = find_criterion_prime(params, drops)
     window = ([crit[0]] if crit else []) + certify.jordan_window_primes(n)
     cert = certify.certify_from_reports(n, [(Fraction(0), report)], basis, window)
 

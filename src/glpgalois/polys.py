@@ -99,10 +99,6 @@ class Poly(Record):
         return f"Poly({render_poly(self)!r})"
 
 
-def poly_from_coeffs(coeffs: Iterable[Rational]) -> Poly:
-    return Poly.from_coeffs(coeffs)
-
-
 def parse_poly(text: str) -> Poly:
     """Parse comma-separated ascending coefficients, e.g. "2,-4,1" or "1/2,0,3"."""
     text = text.strip()

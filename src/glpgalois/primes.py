@@ -1,4 +1,4 @@
-"""Primality, p-adic valuations, and prime enumeration in progressions.
+"""Primality, the primes in order, and integer factorization.
 
 `is_prime` reads a sieve below 2^16 and runs Miller-Rabin over the first
 thirteen primes as witnesses above it.  No composite below psi_13 =
@@ -11,11 +11,10 @@ strong pseudoprime test, high-confidence rather than proven.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress, count
-from typing import Iterator, Union
+from typing import Iterator
 
-from .errors import BadPrimeError, DomainError
+from .errors import DomainError
 
 _SIEVE_LIMIT = 1 << 16
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -76,29 +75,6 @@ def _multiplicity(m: int, p: int) -> int:
         m //= p
         v += 1
     return v
-
-
-def ord_p(q: Union[int, Fraction], p: int) -> int:
-    """The p-adic valuation of a nonzero int or Fraction."""
-    if not is_prime(p):
-        raise BadPrimeError(f"{p} is not prime")
-    num = q.numerator
-    if num == 0:
-        raise DomainError("0 has no finite valuation")
-    return _multiplicity(num, p) - _multiplicity(q.denominator, p)
-
-
-def primes_in_ap_interval(lam: int, mu: int, lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi and p = lam (mod mu), ascending."""
-    if mu < 1:
-        raise DomainError("modulus must be positive")
-    if math.gcd(lam, mu) != 1:
-        raise DomainError(f"gcd({lam}, {mu}) != 1")
-    if lo > hi:
-        raise DomainError("empty interval: lo > hi")
-    start = max(lo, 2)
-    first = start + (lam - start) % mu
-    return [m for m in range(first, hi + 1, mu) if is_prime(m)]
 
 
 def _pollard_rho(n: int) -> int:

@@ -13,12 +13,16 @@ sieves along the progression, and witness slopes are read from `Fraction`
 slopes, where the library reads integer rises and runs.  The Newton index is
 read from the Fraction coefficients of the primitive part, numerator and
 denominator valuations both, where the library takes integer coefficients.
+The library has no p-adic valuation of a coefficient: `ord_p` here is the
+tests' own.  The criterion-prime shortcut, `lemma_key_check`, reads it on
+every big c_j, where the library's `find_criterion_prime` reads the drops.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
+from glpgalois.errors import DomainError
 from glpgalois.polys import Poly, discriminant
 
 
@@ -251,13 +255,37 @@ def drops_by_factoring(n, lam, mu):
     return drops
 
 
-def _fraction_valuation(q, p):
+def ord_p(q, p):
+    """The p-adic valuation of a nonzero int or Fraction: the multiplicity of
+    p in its numerator minus that in its denominator."""
+    if q == 0:
+        raise DomainError("0 has no finite valuation")
     v, num, den = 0, q.numerator, q.denominator
     while num % p == 0:
         num, v = num // p, v + 1
     while den % p == 0:
         den, v = den // p, v - 1
     return v
+
+
+def lemma_key_check(n, c, p):
+    """For f = sum binom(n,j) c_j x^j, the four-valuation shortcut that forces
+    (0,1) and (p,0) to open the p-adic polygon (slope -1/p): n/2 < p < n-2;
+    ord_p(c_j) >= 0 everywhere; = 1 for 1 <= j <= n-p; = 0 at j = p.  A zero
+    c_j lies above every line.  It reads every c_j, where the library's
+    criterion prime reads the drops."""
+    if not trial_division_is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p <= 2 or p >= n:
+        raise DomainError(f"prime {p} out of range for degree {n}")
+    if len(c) != n + 1:
+        raise DomainError("need coefficients c_0..c_n")
+    vals = [ord_p(cj, p) if cj else None for cj in c]
+    if not (2 * p > n and p < n - 2):
+        return False
+    if any(v < 0 for v in vals if v is not None):
+        return False
+    return all(vals[j] == 1 for j in range(1, n - p + 1)) and vals[p] == 0
 
 
 def rational_newton_index(f: Poly):
@@ -278,7 +306,7 @@ def rational_newton_index(f: Poly):
         raise AssertionError(f"primitive part of {f} is not a positive integer polynomial")
     index, vertices = 1, {}
     for p in sorted(prime_factors(g[0] * g[-1])) if len(g) > 1 else []:
-        hull = extreme_point_hull([(j, _fraction_valuation(a, p)) for j, a in enumerate(g) if a])
+        hull = extreme_point_hull([(j, ord_p(a, p)) for j, a in enumerate(g) if a])
         for a, b in zip(hull, hull[1:]):
             index = math.lcm(index, Fraction(b[1] - a[1], b[0] - a[0]).denominator)
         vertices[p] = tuple(hull)

@@ -12,7 +12,7 @@ from itertools import islice
 
 import pytest
 
-from glpgalois.certify import CONTAINS_AN, lemma_key_check
+from glpgalois.certify import CONTAINS_AN
 from glpgalois.glp import (
     GROUP_AN,
     GROUP_SN,
@@ -27,7 +27,7 @@ from glpgalois.glp import (
 )
 from glpgalois.modp import factor_degrees, good_primes, parity_evidence, ALL_EVEN
 from glpgalois.newton import newton_index, newton_polygon
-from glpgalois.polys import discriminant, parse_poly, poly_from_coeffs
+from glpgalois.polys import Poly, discriminant, parse_poly
 
 ALPHAS = (0, 1, 2, 7, Fraction(-1, 2), Fraction(5, 3), Fraction(-7, 3))
 
@@ -102,7 +102,7 @@ def test_criterion_4_hull_oracle():
     while done < 1000:
         deg = rng.randint(1, 12)
         coeffs = [rng.randint(-10**4, 10**4) for _ in range(deg + 1)]
-        f = poly_from_coeffs(coeffs)
+        f = Poly.from_coeffs(coeffs)
         if f.degree < 1 or f[0] == 0:
             continue
         p = rng.choice(small_primes)
@@ -120,7 +120,7 @@ def test_criterion_5_newton_index_properties():
     while done < 200:
         deg = rng.randint(1, 8)
         coeffs = [rng.randint(-200, 200) for _ in range(deg + 1)]
-        f = poly_from_coeffs(coeffs)
+        f = Poly.from_coeffs(coeffs)
         if f.is_zero() or f.degree < 1:
             continue
         idx = newton_index(f).index
@@ -155,6 +155,8 @@ def test_criterion_6_divisibility_small_scale():
 
 
 def test_criterion_7_lemma_polygon_cross_check(schur_classifications):
+    from oracles import lemma_key_check
+
     schur_classifications = schur_classifications[0]
     triples = []
     for (n, alpha), c in schur_classifications.items():
@@ -184,7 +186,7 @@ def test_criterion_8_modp_engine(schur_classifications):
     done = 0
     while done < 500:
         deg = rng.randint(1, 9)
-        f = poly_from_coeffs([rng.randint(-100, 100) for _ in range(deg + 1)])
+        f = Poly.from_coeffs([rng.randint(-100, 100) for _ in range(deg + 1)])
         if f.degree < 1:
             continue
         p = rng.choice([101, 103, 107, 109, 113, 127, 131])

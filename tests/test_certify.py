@@ -17,12 +17,13 @@ from glpgalois.certify import (
     certify_from_reports,
     certify_large_galois,
     jordan_window_primes,
-    lemma_key_check,
 )
 from glpgalois.errors import DomainError
 from glpgalois.glp import GlpParams, glp_normalized
 from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import parse_poly
+
+from oracles import lemma_key_check
 
 
 class TestJordanWindow:

@@ -253,3 +253,38 @@ class TestGlpScan:
             code, out, err = run(capsys, "glp-scan", "--n-from", "9", "--n-to", "10",
                                  "--alpha", "0", "--jobs", jobs)
             assert (code, out, err) == (1, "", "error: --jobs must be at least 1\n"), jobs
+
+    def test_pool_size_is_bounded_by_cpus_and_cases(self, capsys, monkeypatch):
+        # a fake pool records its size and maps in process: no worker is
+        # started, whatever --jobs asks for
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _, want, _ = run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0",
+                         "--jobs", "1")
+        for n_to, jobs, size in [("10", ["--jobs", "1000000"], 2), ("14", ["--jobs", "1000000"], 4),
+                                 ("14", ["--jobs", "3"], 3), ("14", [], 4)]:
+            code, out, err = run(capsys, "glp-scan", "--n-from", "9", "--n-to", n_to,
+                                 "--alpha", "0", *jobs)
+            assert (code, out, err) == (0, "".join(want.splitlines(True)[: int(n_to) - 8]), "")
+            assert sizes.pop() == size and not sizes, (n_to, jobs)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
+        assert run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0",
+                   "--jobs", "8") == (0, want, "")
+        assert sizes == []

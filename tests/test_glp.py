@@ -12,7 +12,6 @@ from glpgalois.certify import (
     INCONCLUSIVE,
     GaloisCertificate,
     certify_large_galois,
-    lemma_key_check,
 )
 from glpgalois.errors import DomainError
 from glpgalois.glp import (
@@ -35,7 +34,7 @@ from glpgalois.glp import (
 from glpgalois.modp import good_primes
 from glpgalois.newton import NewtonIndexReport, newton_index, newton_polygon
 from glpgalois.polys import discriminant, parse_poly
-from glpgalois.primes import is_prime, ord_p
+from glpgalois.primes import is_prime
 
 from oracles import (
     drops_by_factoring,
@@ -43,13 +42,13 @@ from oracles import (
     fraction_witness,
     fraction_witnesses,
     laguerre_by_definition,
+    lemma_key_check,
+    ord_p,
 )
 
 glp_module = importlib.import_module("glpgalois.glp")
 newton_module = importlib.import_module("glpgalois.newton")
-certify_module = importlib.import_module("glpgalois.certify")
 modp_module = importlib.import_module("glpgalois.modp")
-primes_module = importlib.import_module("glpgalois.primes")
 
 
 class TestParams:
@@ -222,6 +221,25 @@ class TestCriterionPrime:
                 assert find_criterion_prime(params) == want, (n, alpha)
                 found += want is not None
         assert found > 500
+
+    def test_classify_calls_it_through_the_module(self, monkeypatch):
+        # classify finds its criterion prime by the module attribute, once, on
+        # the drops it has already sieved, so a wrapper of the public name sees it
+        calls = []
+        real = glp_module.find_criterion_prime
+
+        def recording(params, drops=None):
+            calls.append((params, drops))
+            return real(params, drops)
+
+        monkeypatch.setattr(glp_module, "find_criterion_prime", recording)
+        cases = [GlpParams.from_alpha(n, alpha) for n in (7, 9, 20, 34) for alpha in (0, "5/3")]
+        for params in cases:
+            c = classify(params)
+            ((got, drops),) = calls
+            calls.clear()
+            assert got is params and drops == glp_module._drops(params), params
+            assert (c.criterion_prime, c.ell) == (real(params) or (None, None)), params
 
     def test_returned_prime_passes_lemma(self):
         for n, lam, mu in [(9, 0, 1), (20, 1, 2), (30, 0, 1), (25, 2, 1), (33, -1, 2)]:
@@ -507,8 +525,8 @@ class TestClassify:
                 Classification(group, square, cert, 5, 5, params)
 
     def test_single_slope_cases_build_no_big_integer(self, monkeypatch):
-        # Delta, the c_j, their squareness test and ord_p on them are never
-        # needed when a polygon proves irreducibility
+        # Delta, the c_j and their squareness test are never needed when a
+        # polygon proves irreducibility
         cases = [GlpParams.from_alpha(n, alpha) for n in range(9, 61) for alpha in (0, "5/3")]
         cases = [params for params in cases if glp_newton_index(params).single_slope]
         want = [classification_to_dict(classify(params)) for params in cases]
@@ -518,8 +536,7 @@ class TestClassify:
 
         for module, name in [(glp_module, "schur_discriminant"),
                              (glp_module, "normalized_coefficient_products"),
-                             (glp_module, "is_rational_square"),
-                             (primes_module, "ord_p"), (certify_module, "ord_p")]:
+                             (glp_module, "is_rational_square")]:
             monkeypatch.setattr(module, name, forbidden)
         assert [classification_to_dict(classify(params)) for params in cases] == want
         assert len(cases) > 50

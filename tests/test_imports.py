@@ -122,7 +122,8 @@ class TestNamespace:
     def test_unknown_name_raises_and_imports_nothing(self):
         code = (
             "import glpgalois\n"
-            "for name in ('no_such_name', 'glp_newton', '_HOMES_'):\n"
+            "for name in ('no_such_name', 'glp_newton', '_HOMES_', 'ord_p', 'lemma_key_check',\n"
+            "             'primes_in_ap_interval', 'poly_from_coeffs'):\n"
             "    try:\n"
             "        getattr(glpgalois, name)\n"
             "    except AttributeError as exc:\n"
@@ -136,6 +137,11 @@ class TestNamespace:
             "module 'glpgalois' has no attribute 'no_such_name'",
             "module 'glpgalois' has no attribute 'glp_newton'",
             "module 'glpgalois' has no attribute '_HOMES_'",
+            # removed from the package: no library code called them
+            "module 'glpgalois' has no attribute 'ord_p'",
+            "module 'glpgalois' has no attribute 'lemma_key_check'",
+            "module 'glpgalois' has no attribute 'primes_in_ap_interval'",
+            "module 'glpgalois' has no attribute 'poly_from_coeffs'",
             "ImportError",
             '["glpgalois"]',
         ]

@@ -33,7 +33,7 @@ from glpgalois.modp import (
     parity_evidence,
     subset_sum_closure,
 )
-from glpgalois.polys import parse_poly, poly_from_coeffs
+from glpgalois.polys import Poly, parse_poly
 
 from oracles import (
     is_good_prime_by_discriminant,
@@ -71,9 +71,9 @@ class TestGoodPrime:
 
     def test_square_free_with_many_bad_primes(self):
         # every prime below 31 merges two of the roots 0..30
-        f = poly_from_coeffs([1])
+        f = Poly.from_coeffs([1])
         for i in range(31):
-            f = f * poly_from_coeffs([-i, 1])
+            f = f * Poly.from_coeffs([-i, 1])
         assert list(islice(good_primes(f), 3)) == [31, 37, 41]
 
     def test_frobenius_path_computes_no_resultant(self, monkeypatch, capsys):
@@ -185,7 +185,7 @@ class TestFactorDegrees:
         while done < 150:
             deg = rng.randint(1, 3)
             coeffs = [rng.randint(-30, 30) for _ in range(deg + 1)]
-            f = poly_from_coeffs(coeffs)
+            f = Poly.from_coeffs(coeffs)
             if f.degree != deg:
                 continue
             p = rng.choice(primes)
@@ -200,7 +200,7 @@ class TestFactorDegrees:
         rng = random.Random(67)
         done = 0
         while done < 100:
-            f = poly_from_coeffs([rng.randint(-50, 50) for _ in range(rng.randint(3, 10))])
+            f = Poly.from_coeffs([rng.randint(-50, 50) for _ in range(rng.randint(3, 10))])
             if f.degree < 2:
                 continue
             p = rng.choice([101, 103, 107, 109, 113])
@@ -221,7 +221,7 @@ class TestFactorDegrees:
             coeffs = [Fraction(rng.randint(-30, 30), rng.choice(dens)) for _ in range(deg + 1)]
             small = rng.choice(primes[:6])
             coeffs[-1] = rng.choice([1, -2, small, Fraction(1, small)])
-            f = poly_from_coeffs(coeffs)
+            f = Poly.from_coeffs(coeffs)
             tried = rng.sample(primes[:10], 3) + rng.sample(primes, 2) + [small]
             tried += [q for q in primes[:10] if deg % q == 0]
             for p in tried:
@@ -261,9 +261,9 @@ def _product_of_irreducibles(p, degrees, rng):
             if c not in factors and is_irreducible_mod_p(c, p):
                 factors.append(c)
                 break
-    prod = poly_from_coeffs([1])
+    prod = Poly.from_coeffs([1])
     for c in factors:
-        prod = prod * poly_from_coeffs(c)
+        prod = prod * Poly.from_coeffs(c)
     return prod
 
 
@@ -306,9 +306,9 @@ class TestBatchedDdf:
     def test_completely_split(self):
         # x^p = x mod fbar, so every h - x and the run's product are zero
         for p, roots in ((7, range(7)), (11, range(1, 10)), (2, range(2))):
-            f = poly_from_coeffs([1])
+            f = Poly.from_coeffs([1])
             for a in roots:
-                f = f * poly_from_coeffs([-a, 1])
+                f = f * Poly.from_coeffs([-a, 1])
             assert factor_degrees(f, p).degrees == (1,) * len(roots)
 
     # a run's gcd g is divided out of the cofactor once, then split from its
@@ -410,7 +410,7 @@ class TestSlotWidths:
         k = 2 if p == 3 else 6
         f = parse_poly("1,0,1")
         for a in range(1, k + 1):
-            f = f * poly_from_coeffs([-a, 1])
+            f = f * Poly.from_coeffs([-a, 1])
         assert _slot_bytes(2 * f.degree * (p - 1) ** 2) == width
         quadratic = (1, 1) if p % 4 == 1 else (2,)
         assert factor_degrees(f, p).degrees == tuple(sorted((1,) * k + quadratic))

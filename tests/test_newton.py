@@ -16,7 +16,7 @@ from glpgalois.newton import (
     newton_polygon,
     single_slope_irreducibility_evidence,
 )
-from glpgalois.polys import Poly, parse_poly, poly_from_coeffs, primitive_scale
+from glpgalois.polys import Poly, parse_poly, primitive_scale
 
 from oracles import (
     brute_lower_hull,
@@ -32,7 +32,7 @@ def rand_nonzero_constant_poly(rng, max_deg=12, span=10**4):
     coeffs = [rng.randint(-span, span) for _ in range(deg + 1)]
     coeffs[0] = rng.choice([1, -1]) * rng.randint(1, span)
     coeffs[-1] = rng.choice([1, -1]) * rng.randint(1, span)
-    return poly_from_coeffs(coeffs)
+    return Poly.from_coeffs(coeffs)
 
 
 def assert_matches_the_oracle(f):
@@ -114,7 +114,7 @@ class TestPolygon:
             coeffs = [0] * (points[-1][0] + 1)
             for j, h in points:
                 coeffs[j] = Fraction(5) ** h
-            np = newton_polygon(poly_from_coeffs(coeffs), 5)
+            np = newton_polygon(Poly.from_coeffs(coeffs), 5)
             assert np.points == tuple(points)
             assert list(np.vertices) == extreme_point_hull(points), points
 
@@ -206,7 +206,7 @@ class TestNewtonIndex:
                 p = rng.choice((2, 3, 5, 7))
                 for j in run:
                     coeffs[j] *= p ** rng.randint(1, 3)
-            f = poly_from_coeffs(coeffs)
+            f = Poly.from_coeffs(coeffs)
             for mu in (0, 1, -1, 2):
                 assert_matches_the_oracle(f.shift(mu))
 
@@ -219,7 +219,7 @@ class TestNewtonIndex:
         monkeypatch.setattr(primes_module, "_pollard_rho", no_rho)
         with pytest.raises(AssertionError, match="Pollard rho"):
             primes_module.prime_factors(1000003 * 1000033)
-        r = newton_index(poly_from_coeffs([1000003, 0, 0, 1000033]))
+        r = newton_index(Poly.from_coeffs([1000003, 0, 0, 1000033]))
         assert r.index == 3
         assert r.vertices == {1000003: ((0, 1), (3, 0)), 1000033: ((0, 0), (3, 1))}
 

@@ -9,7 +9,6 @@ from glpgalois.polys import (
     Poly,
     discriminant,
     parse_poly,
-    poly_from_coeffs,
     primitive_scale,
     render_poly,
     resultant,
@@ -28,15 +27,15 @@ def rand_poly(rng, max_deg=6, span=20, rational=False):
 
 class TestConstruction:
     def test_basic(self):
-        f = poly_from_coeffs([2, -4, 1])
+        f = Poly.from_coeffs([2, -4, 1])
         assert f.degree == 2
 
     def test_zero(self):
-        assert poly_from_coeffs([]).is_zero()
-        assert poly_from_coeffs([0, 0]).is_zero()
+        assert Poly.from_coeffs([]).is_zero()
+        assert Poly.from_coeffs([0, 0]).is_zero()
 
     def test_trailing_zero_strip(self):
-        f = poly_from_coeffs([Fraction(1, 2), 0, 0])
+        f = Poly.from_coeffs([Fraction(1, 2), 0, 0])
         assert f.degree == 0
         assert f.coeffs == (Fraction(1, 2),)
 
@@ -185,10 +184,10 @@ class TestDiscriminant:
             a, b, c = (rng.randint(-9, 9) for _ in range(3))
             if a == 0:
                 continue
-            assert discriminant(poly_from_coeffs([c, b, a])) == b * b - 4 * a * c
+            assert discriminant(Poly.from_coeffs([c, b, a])) == b * b - 4 * a * c
         for _ in range(60):
             p_, q_ = rng.randint(-9, 9), rng.randint(-9, 9)
-            f = poly_from_coeffs([q_, p_, 0, 1])
+            f = Poly.from_coeffs([q_, p_, 0, 1])
             assert discriminant(f) == -4 * p_**3 - 27 * q_**2
 
     def test_translation_invariance(self):

@@ -4,18 +4,12 @@ from fractions import Fraction
 import pytest
 
 from glpgalois import cli, primes
-from glpgalois.errors import BadPrimeError, DomainError
-from glpgalois.polys import parse_poly, poly_from_coeffs
-from glpgalois.primes import (
-    SMALL_PRIMES,
-    is_prime,
-    ord_p,
-    prime_factors,
-    primes_in_ap_interval,
-)
+from glpgalois.errors import DomainError
+from glpgalois.polys import Poly, parse_poly
+from glpgalois.primes import SMALL_PRIMES, is_prime, prime_factors
 from glpgalois.newton import newton_index, newton_polygon
 
-from oracles import is_prime_factor_set, lucas_lehmer, trial_division_is_prime
+from oracles import is_prime_factor_set, lucas_lehmer, ord_p, trial_division_is_prime
 
 
 class TestIsPrime:
@@ -68,17 +62,14 @@ class TestIsPrime:
 
 
 class TestOrdP:
+    """The tests' own valuation (`oracles.ord_p`), on which `lemma_key_check`
+    and the hull point checks of test_glp rest; the library has none."""
+
     def test_examples(self):
         assert ord_p(8, 2) == 3
         assert ord_p(Fraction(2, 9), 3) == -2
         with pytest.raises(DomainError, match="no finite valuation"):
             ord_p(0, 5)
-
-    def test_non_prime_rejected(self):
-        with pytest.raises(BadPrimeError):
-            ord_p(8, 6)
-        with pytest.raises(BadPrimeError):
-            ord_p(0, 6)
 
     def test_edge_inputs(self):
         assert ord_p(-24, 2) == 3  # negative numerators
@@ -101,37 +92,6 @@ class TestOrdP:
             assert ord_p(q * r, p) == ord_p(q, p) + ord_p(r, p)
 
 
-class TestPrimesInAP:
-    def test_examples(self):
-        assert primes_in_ap_interval(1, 4, 10, 30) == [13, 17, 29]
-        assert primes_in_ap_interval(0, 1, 24, 28) == []
-        assert primes_in_ap_interval(1, 2, 15, 17) == [17]
-
-    def test_gcd_error(self):
-        with pytest.raises(DomainError):
-            primes_in_ap_interval(2, 4, 1, 100)
-
-    def test_sieve_filter_oracle(self):
-        rng = random.Random(37)
-        for _ in range(50):
-            mu = rng.randint(1, 12)
-            lam = rng.choice([r for r in range(-mu, 2 * mu) if _coprime(r, mu)])
-            lo = rng.randint(-10, 200)
-            hi = lo + rng.randint(0, 150)
-            expected = [
-                m
-                for m in range(max(lo, 2), hi + 1)
-                if trial_division_is_prime(m) and (m - lam) % mu == 0
-            ]
-            assert primes_in_ap_interval(lam, mu, lo, hi) == expected
-
-
-def _coprime(a, b):
-    import math
-
-    return math.gcd(a, b) == 1
-
-
 class TestCandidatePrimes:
     """The candidate primes are the keys of newton_index(f).vertices: the
     primes of a_0 * a_n of the primitive part with its x-powers dropped."""
@@ -149,7 +109,7 @@ class TestCandidatePrimes:
         rng = random.Random(41)
         checked = 0
         while checked < 50:
-            f = poly_from_coeffs([rng.randint(-50, 50) for _ in range(rng.randint(2, 8))])
+            f = Poly.from_coeffs([rng.randint(-50, 50) for _ in range(rng.randint(2, 8))])
             if f.is_zero() or f[0] == 0 or f.degree < 1:
                 continue
             cand = set(newton_index(f).vertices)
