@@ -176,7 +176,8 @@ def _cmd_glp_scan(args) -> int:
         raise DomainError("--jobs must be at least 1")
     alpha = str(_parse_fraction(args.alpha))
     tasks = [(n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1)]
-    cpus = os.cpu_count() or 1
+    # the CPUs this process may run on (a pinned process may use fewer than the host has)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     jobs = min(args.jobs or cpus, cpus, len(tasks))
     if jobs > 1:
         import multiprocessing  # only a pool needs it; kept out of every other start-up

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from typing import TYPE_CHECKING, Optional, Union
 
 import glpgalois  # certify, newton and modp are read as its attributes
@@ -43,7 +43,7 @@ import glpgalois  # certify, newton and modp are read as its attributes
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly
-from .primes import SMALL_PRIMES, _add_large_prime_factors, _multiplicity, primes
+from .primes import _SIEVE, _add_large_prime_factors, _multiplicity, primes
 
 if TYPE_CHECKING:  # for annotations only
     from .certify import GaloisCertificate
@@ -174,9 +174,7 @@ def _drops(params: GlpParams) -> dict[int, list[tuple[int, int]]]:
     bound = min(1 << 16, math.isqrt(max(rest[1], rest[n])))
     rest[0] = 1  # k = 0 is no factor
     drops: dict[int, list[tuple[int, int]]] = {}
-    for p in SMALL_PRIMES:
-        if p > bound:
-            break
+    for p in compress(range(bound + 1), _SIEVE):
         if mu % p:
             ks = []
             for k in range((-lam * pow(mu, -1, p) - 1) % p + 1, n + 1, p):

@@ -13,11 +13,14 @@ slot, shifted up one slot, plus the top times x^n mod fbar, and one slot-wise
 reduction of all the rows follows.  h -> h^p adds multiples of the packed
 Frobenius rows x^(ip) mod fbar: read from the table while ip <= 2n - 2, and
 past it each the packed product of the row before and x^p, reduced by the
-same table; no row is kept as a list.  The h - x of a run of isqrt(n)
-consecutive d meet f in one gcd g, which is divided out of the cofactor once
-and then split d by d; once deg g < 2d, g holds one factor and is one block.
-Whether p is good is decided once, by the reduction itself, and p is not
-bounded.
+same table; no row is kept as a list, and none is built for the first
+step, x -> x^p.  The h - x of a run of isqrt(n) consecutive d meet f in one
+gcd g, which is divided out of the cofactor once and then split d by d; once
+deg g < 2d, g holds one factor and is one block.  When a few roots could
+settle a prime, the degree-set filter takes degree 1 alone, from x^p, and
+stops at it when the number of roots decides what the prime does to the
+surviving degrees (_settles).  Whether p is good is decided once, by the
+reduction itself, and p is not bounded.
 
 Euclid (gcd and division) also runs on packed operands.  Eliminating the
 leading slot of A adds t * (B << shift) with t = -lc(A) / lc(B) mod p, one
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from math import isqrt, lcm
 from operator import mul
 from typing import Callable, Iterator, Optional
@@ -172,8 +175,9 @@ def _power_table(fbar: Residues, p: int, w: int) -> list[int]:
 
 def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     """Multiplication and the Frobenius map h -> h^p in F_p[x]/(fbar), for a
-    monic fbar of degree n >= 1.  h^p = h(x^p) is F_p-linear, so it is the sum
-    of h_i times the packed row x^(ip) mod fbar."""
+    monic fbar of degree n >= 2.  h^p = h(x^p) is F_p-linear, so it is the
+    sum of h_i times the packed row x^(ip) mod fbar; the rows are built on
+    the first call past x -> x^p, which needs none."""
     n = len(fbar) - 1
     # a slot collects at most n products from a multiplication or a Frobenius
     # sum and n - 1 from the reduction, each at most (p - 1)^2
@@ -194,23 +198,27 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
         # reduced, with every slot below p like a table row
         return _pack(_unpack(reduce_product(c), w, n, p), w)
 
-    # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then each the
-    # packed product of the last row and x^p
-    first = (2 * n - 2) // p + 1
-    rows = table[: first * p : p]
-    if first < n:
-        # x^p: the table's row while p <= 2n - 2, else powered from x
-        xp = table[p] if first > 1 else 1 << W
-        for bit in bin(p)[3:] if first == 1 else "":
+    # x^p: the table's row while p <= 2n - 2, else powered from x
+    if p <= 2 * n - 2:
+        xp = table[p]
+    else:
+        xp = 1 << W
+        for bit in bin(p)[3:]:
             xp = row_product(xp * xp)
             if bit == "1":
                 xp = row_product(xp << W)
-        r = rows[-1]
-        for _ in range(first, n):
-            r = row_product(r * xp)
-            rows.append(r)
+    rows: list[int] = []
 
     def frobenius(h: Residues) -> Residues:
+        if not rows:
+            if h == [0, 1]:  # the first step, x -> x^p, needs no row
+                return _trim(_unpack(xp, w, n, p))
+            # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then
+            # each the packed product of the last row and x^p
+            first = (2 * n - 2) // p + 1
+            rows.extend(table[: first * p : p])
+            for _ in range(first, n):
+                rows.append(row_product(rows[-1] * xp))
         return _trim(_unpack(sum(map(mul, h, rows)), w, n, p))
 
     return mulmod, frobenius
@@ -312,23 +320,48 @@ def _exact_quotient(a: Residues, b: Residues, p: int) -> Residues:
     return q
 
 
-def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
+def _minus_x(h: Residues, p: int) -> Residues:
+    diff = h + [0] * (2 - len(h))
+    diff[1] = (diff[1] - 1) % p
+    return _trim(diff)
+
+
+def _ddf_degrees(
+    fbar: Residues, p: int, settle: Optional[Callable[[int], bool]] = None
+) -> tuple[list[int], list[Residues]]:
     """Degrees of the irreducible factors of a square-free monic fbar, plus
     the per-degree blocks for the reconstruction check.  h = x^(p^d) is kept
     mod fbar itself: every cofactor divides fbar, so the gcd is the same.  A
-    run's gcd g is divided out of the cofactor once, then split d by d."""
+    run's gcd g is divided out of the cofactor once, then split d by d.
+    With settle, degree 1 is a step of its own, which builds no Frobenius
+    row: when settle(r) holds for the number r of roots, factoring stops,
+    and the cofactor of the roots is one block of its degree, whatever its
+    factors."""
+    n = len(fbar) - 1
+    if n < 2:
+        return [n], [fbar]
     mulmod, frobenius = _quotient_ring(fbar, p)
-    run = isqrt(len(fbar) - 1)
+    run = isqrt(n)
     degrees: list[int] = []
     blocks: list[Residues] = []
     fcur, h, d = fbar, [0, 1], 0
+    if settle is not None:
+        h, d = frobenius(h), 1
+        g = _gcd(fbar, _minus_x(h, p), p)
+        if len(g) > 1:
+            degrees.extend([1] * (len(g) - 1))
+            blocks.append(g)
+            fcur = _exact_quotient(fbar, g, p)
+        if settle(len(g) - 1):
+            if len(fcur) > 1:
+                degrees.append(len(fcur) - 1)
+                blocks.append(fcur)
+            return degrees, blocks
     while 2 * (d + 1) <= len(fcur) - 1:
         diffs = {}
         for d in range(d + 1, min(d + run, (len(fcur) - 1) // 2) + 1):
             h = frobenius(h)
-            diff = h + [0] * (2 - len(h))
-            diff[1] = (diff[1] - 1) % p  # h - x
-            diffs[d] = _trim(diff)
+            diffs[d] = _minus_x(h, p)
         g = _gcd(fcur, reduce(mulmod, diffs.values()), p)
         if len(g) > 1:
             fcur = _exact_quotient(fcur, g, p)
@@ -354,42 +387,72 @@ def _ddf_degrees(fbar: Residues, p: int) -> tuple[list[int], list[Residues]]:
     return degrees, blocks
 
 
-def factor_degrees(f: Poly, p: int) -> CycleType:
-    """Degree multiset of the irreducible factors of f mod a good prime p."""
+def _checked_degrees(f: Poly, p: int, settle: Optional[Callable[[int], bool]] = None) -> list[int]:
+    """_ddf_degrees of f mod a good prime p, once its blocks multiply back."""
     kept = _ACCEPTED.pop((id(f), p), None)
     fbar = _good_reduction(f, p) if kept is None else kept[1]
     if fbar is None:
         raise BadPrimeError(f"{p} is not a good prime for this polynomial")
-    degrees, blocks = _ddf_degrees(fbar, p)
+    degrees, blocks = _ddf_degrees(fbar, p, settle)
     # Reconstruction: the blocks multiply back to fbar, their degrees to n.
     prod = [1]
     for b in blocks:
         prod = _product(prod, b, p)
     if prod != fbar or sum(degrees) != f.degree:
         raise DomainError("factor blocks do not multiply back to f mod p")
-    return CycleType(degrees=tuple(sorted(degrees)), prime=p)
+    return degrees
 
 
-def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
-    total = sum(degrees)
+def factor_degrees(f: Poly, p: int) -> CycleType:
+    """Degree multiset of the irreducible factors of f mod a good prime p."""
+    return CycleType(degrees=tuple(sorted(_checked_degrees(f, p))), prime=p)
+
+
+def _closure_mask(degrees) -> int:
+    """The subset sums of degrees, as the bits of an integer."""
     mask = 1
     for d in degrees:
         mask |= mask << d
-    return frozenset(i for i in range(total + 1) if mask >> i & 1)
+    return mask
+
+
+def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
+    mask = _closure_mask(degrees)
+    return frozenset(i for i in range(sum(degrees) + 1) if mask >> i & 1)
+
+
+def _settles(out: int, n: int, r: int) -> bool:
+    """Whether r roots mod p decide what the prime does to the surviving
+    degree set out (a bitmask): its subset sums hold [0, r] and [R, n] for
+    R = n - r, and every other lies in U = (r, R) & [2, n - 2], as each other
+    factor has degree >= 2.  Settled when the rest is one factor or none
+    (R < 4), or when out meets no U."""
+    lo, hi = max(r + 1, 2), min(n - r - 1, n - 2)
+    return n - r < 4 or hi < lo or not out >> lo & (1 << hi - lo + 1) - 1
+
+
+# A prime settles only with enough roots (more roots never unsettle it).  f
+# mod p has k or more roots with chance at most about 1/k!, the expected number
+# of its k-sets of roots, so degree 1 is taken alone, at the cost of one more
+# gcd, only when this many roots would settle the prime.
+_SETTLE_ROOTS = 3
 
 
 def degree_set_filter(f: Poly, primes_list: list[int]) -> set[int]:
     """Intersect the subset-sum closures of the factor-degree multisets over
     the given good primes; a superset of the degrees of rational factors of f.
-    {0, n} always survives, so the primes after it reaches {0, n} are not
-    factored; an output of exactly {0, n} proves irreducibility."""
+    A prime whose roots settle it (_settles) is factored no further: the
+    cofactor of its roots counts as one factor.  {0, n} always survives, so
+    the primes after it reaches {0, n} are not factored; an output of
+    exactly {0, n} proves irreducibility."""
     n = f.degree
-    out = frozenset(range(n + 1))
+    out, proved = (1 << n + 1) - 1, 1 | 1 << n
     for p in primes_list:
-        out &= subset_sum_closure(factor_degrees(f, p).degrees)
-        if out == {0, n}:
+        settle = partial(_settles, out, n)
+        out &= _closure_mask(_checked_degrees(f, p, settle if settle(_SETTLE_ROOTS) else None))
+        if out == proved:
             break
-    return set(out)
+    return {i for i in range(n + 1) if out >> i & 1}
 
 
 CONTAINS_ODD = "contains-odd-permutation"

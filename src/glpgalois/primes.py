@@ -35,7 +35,22 @@ def _sieve() -> bytearray:
 
 
 _SIEVE = _sieve()
-SMALL_PRIMES = [2, *compress(range(3, _SIEVE_LIMIT, 2), _SIEVE[3::2])]
+
+
+def _small_primes() -> list[int]:
+    """SMALL_PRIMES, the 6,542 primes below 2^16, listed on the first call:
+    only prime_factors' trial division walks them as a list."""
+    small = globals().get("SMALL_PRIMES")
+    if small is None:
+        small = globals()["SMALL_PRIMES"] = list(compress(range(_SIEVE_LIMIT), _SIEVE))
+    return small
+
+
+def __getattr__(name: str) -> list[int]:
+    # PEP 562: SMALL_PRIMES is built on its first read, then found in globals
+    if name == "SMALL_PRIMES":
+        return _small_primes()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -62,7 +77,7 @@ def is_prime(m: int) -> bool:
 
 def primes() -> Iterator[int]:
     """All primes, ascending."""
-    yield from SMALL_PRIMES
+    yield from compress(range(_SIEVE_LIMIT), _SIEVE)
     for m in count(_SIEVE_LIMIT + 1, 2):
         if is_prime(m):
             yield m
@@ -119,7 +134,7 @@ def prime_factors(m: int) -> set[int]:
         raise DomainError("0 has no prime factorization")
     m = abs(m)
     out: set[int] = set()
-    for p in SMALL_PRIMES:
+    for p in _small_primes():
         if p * p > m:
             if m > 1:
                 out.add(m)

@@ -16,11 +16,13 @@ denominator valuations both, where the library takes integer coefficients.
 The library has no p-adic valuation of a coefficient: `ord_p` here is the
 tests' own.  The criterion-prime shortcut, `lemma_key_check`, reads it on
 every big c_j, where the library's `find_criterion_prime` reads the drops.
+Subset sums of a factor-degree multiset come from listing its sub-multisets,
+where the library shifts a bitmask and may stop a prime at its roots.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from glpgalois.errors import DomainError
 from glpgalois.polys import Poly, discriminant
@@ -198,6 +200,21 @@ def _has_monic_divisor_mod_p(coeffs, e, p):
         if not any(rem):
             return True
     return False
+
+
+def degree_multisets(n, largest=None):
+    """Every multiset of positive degrees summing to n, as ascending tuples."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(min(n, largest or n), 0, -1):
+        for rest in degree_multisets(n - d, d):
+            yield rest + (d,)
+
+
+def subset_sums_by_enumeration(degrees):
+    """The sums of all sub-multisets of degrees, each one listed."""
+    return {sum(c) for k in range(len(degrees) + 1) for c in combinations(degrees, k)}
 
 
 def is_irreducible_mod_p(int_coeffs, p):

@@ -275,7 +275,8 @@ class TestGlpScan:
                 return map(func, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the host's, not the usable ones
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         _, want, _ = run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0",
                          "--jobs", "1")
         for n_to, jobs, size in [("10", ["--jobs", "1000000"], 2), ("14", ["--jobs", "1000000"], 4),
@@ -284,7 +285,14 @@ class TestGlpScan:
                                  "--alpha", "0", *jobs)
             assert (code, out, err) == (0, "".join(want.splitlines(True)[: int(n_to) - 8]), "")
             assert sizes.pop() == size and not sizes, (n_to, jobs)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU, no pool
+        # pinned to one of the host's 8 CPUs: one process, no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0") == (0, want, "")
+        # no affinity on this platform: the host's count, and unknown is one CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, out, err = run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0")
+        assert (code, out, err, sizes.pop()) == (0, want, "", 6)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run(capsys, "glp-scan", "--n-from", "9", "--n-to", "14", "--alpha", "0",
                    "--jobs", "8") == (0, want, "")
         assert sizes == []

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import glpgalois
 from glpgalois import cli, modp, polys
 from glpgalois.errors import BadPrimeError, DomainError
-from glpgalois.glp import GlpParams, classify
+from glpgalois.glp import _EVIDENCE_PRIME_BUDGET, GlpParams, classify, glp_normalized
 from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
@@ -34,13 +35,16 @@ from glpgalois.modp import (
     subset_sum_closure,
 )
 from glpgalois.polys import Poly, parse_poly
+from glpgalois.primes import primes
 
 from oracles import (
+    degree_multisets,
     is_good_prime_by_discriminant,
     is_irreducible_mod_p,
     low_degree_factor_degrees,
     schoolbook_divmod,
     schoolbook_gcd,
+    subset_sums_by_enumeration,
     trial_division_is_prime,
 )
 
@@ -503,6 +507,168 @@ class TestDegreeSetFilter:
     def test_subset_sum_closure(self):
         assert subset_sum_closure((1, 2)) == {0, 1, 2, 3}
         assert subset_sum_closure((3,)) == {0, 3}
+
+
+def _bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _filter_by_factoring(f, ps):
+    """The intersection of the subset-sum closures of every prime's full
+    factor-degree multiset, no prime settled early; {0, n} lies in every
+    closure, so the primes after it change nothing."""
+    out = set(range(f.degree + 1))
+    for p in ps:
+        out &= subset_sum_closure(factor_degrees(f, p).degrees)
+        if out == {0, f.degree}:
+            break
+    return out
+
+
+def _frobenius_rows(frobenius):
+    # the packed rows the map has built so far, read from its closure
+    cells = dict(zip(frobenius.__code__.co_freevars, frobenius.__closure__))
+    return cells["rows"].cell_contents
+
+
+class TestDegreeOneSettle:
+    # r roots mod p leave subset sums [0, r] and [R, n] (R = n - r) plus
+    # others only in (r, R) & [2, n - 2]; a prime is settled at degree 1 when
+    # R < 4 or the surviving set meets none of those others
+
+    def test_rule_matches_enumerated_subset_sums(self):
+        rng = random.Random(97)
+        settled = unsettled = 0
+        for n in range(1, 13):
+            for degrees in degree_multisets(n):
+                r = degrees.count(1)
+                sums = subset_sums_by_enumeration(degrees)
+                rule = set(range(r + 1)) | set(range(n - r, n + 1))
+                assert rule <= sums, degrees
+                for _ in range(20):
+                    out = rng.getrandbits(n + 1) | 1 | 1 << n
+                    if modp._settles(out, n, r):
+                        # more roots never unsettle a prime
+                        assert r == n or modp._settles(out, n, r + 1), (degrees, bin(out))
+                        settled += 1
+                        assert _bits(out) & sums == _bits(out) & rule, (degrees, bin(out))
+                    else:
+                        unsettled += 1
+                        assert n - r >= 4
+        assert settled > 1000 and unsettled > 1000
+
+    def test_filter_equals_full_factoring_on_the_glp_sweep_grid(self):
+        for n in range(9, 61):
+            for alpha in ("0", "1", "5/3", "-1/2"):
+                params = GlpParams.from_alpha(n, Fraction(alpha))
+                lam, mu = params.lam, params.mu
+                bad = mu * math.prod(range(2 * mu + lam, n * mu + lam + 1, mu))
+                ps = list(islice((p for p in primes() if p > n and bad % p), _EVIDENCE_PRIME_BUDGET))
+                f = glp_normalized(params)
+                assert degree_set_filter(f, ps) == _filter_by_factoring(f, ps), (n, alpha)
+
+    def test_filter_equals_full_factoring_on_generic_polynomials(self):
+        # half irreducible-looking, half a product of two or three factors,
+        # so that many degree sets survive a prime
+        rng = random.Random(101)
+        kinds = {True: 0, False: 0}
+        cases = 0
+        while cases < 200:
+            f = Poly.from_coeffs([1])
+            for _ in range(1 if cases % 2 else rng.randint(2, 3)):
+                d = rng.randint(1, 8)
+                f = f * Poly.from_coeffs([rng.randint(-9, 9) or 1 for _ in range(d)] + [rng.randint(1, 3)])
+            try:
+                ps = list(islice(good_primes(f), 10))
+            except DomainError:  # a repeated factor: not square-free
+                continue
+            cases += 1
+            want = _filter_by_factoring(f, ps)
+            assert degree_set_filter(f, ps) == want, f.coeffs
+            kinds[want == {0, f.degree}] += 1
+        assert min(kinds.values()) > 20
+
+    @pytest.fixture
+    def rings(self, monkeypatch):
+        # each prime's Frobenius map, as _ddf_degrees receives it
+        made = []
+        original = modp._quotient_ring
+
+        def spy(fbar, p):
+            mulmod, frobenius = original(fbar, p)
+            made.append((p, frobenius))
+            return mulmod, frobenius
+
+        monkeypatch.setattr(modp, "_quotient_ring", spy)
+        return made
+
+    def test_settled_prime_builds_no_frobenius_row(self, rings):
+        # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1): 4 roots mod 5, 2 mod 7 with one
+        # quadratic left (R = 2 < 4); x^4 + 1 has no root mod 3, and {0..4}
+        # meets U = {2}, so its DDF goes on
+        assert degree_set_filter(parse_poly("-1,0,0,0,1"), [5, 7]) == {0, 1, 2, 3, 4}
+        assert degree_set_filter(parse_poly("1,0,0,0,1"), [3]) == {0, 2, 4}
+        assert [(p, len(_frobenius_rows(frob))) for p, frob in rings] == [(5, 0), (7, 0), (3, 4)]
+
+    def test_settled_glp_primes_build_no_frobenius_row(self, rings, monkeypatch):
+        # the filter primes of the glp_sweep grid at n = 9..40: a settled
+        # prime's map stays unused, every other one builds its rows; a prime
+        # that only more than _SETTLE_ROOTS roots could settle gets no test
+        settled = []
+        original = modp._ddf_degrees
+
+        def recorded(fbar, p, settle=None):
+            degrees, blocks = original(fbar, p, settle)
+            # the cofactor of the roots has none, so the 1s are the roots
+            settled.append(None if settle is None else settle(degrees.count(1)))
+            return degrees, blocks
+
+        monkeypatch.setattr(modp, "_ddf_degrees", recorded)
+        for n in range(9, 41):
+            for alpha in ("0", "1", "5/3", "-1/2"):
+                classify(GlpParams.from_alpha(n, Fraction(alpha)))
+        assert len(settled) == len(rings) and {None, False, True} <= set(settled)
+        for done, (p, frob) in zip(settled, rings):
+            assert (len(_frobenius_rows(frob)) == 0) == bool(done), p
+
+    def test_prime_that_only_many_roots_settle_is_factored_in_full(self, rings):
+        # (x - 1)...(x - 6)(x^2 + 1) has 6 roots mod 11 (which would settle
+        # it), but while every degree survives only 4 or more roots settle
+        # the prime: its DDF runs as factor_degrees does, rows and all
+        f = Poly.from_coeffs([1, 0, 1])
+        for k in range(1, 7):
+            f = f * Poly.from_coeffs([-k, 1])
+        assert modp._settles((1 << 9) - 1, 8, 6)
+        assert not modp._settles((1 << 9) - 1, 8, modp._SETTLE_ROOTS)
+        assert degree_set_filter(f, [11]) == set(range(9))
+        assert [(p, len(_frobenius_rows(frob))) for p, frob in rings] == [(11, 8)]
+
+    def test_bad_prime_still_raises(self):
+        # x^2 - 1 (disc 4): settled at 3, and 2 is bad
+        with pytest.raises(BadPrimeError, match="^2 is not a good prime for this polynomial$"):
+            degree_set_filter(parse_poly("-1,0,1"), [3, 2])
+        f = parse_poly("1,0,1")
+        with pytest.raises(BadPrimeError, match="^9 is not prime$"):
+            degree_set_filter(f, [9])
+        with pytest.raises(DomainError, match="^requires degree >= 1$"):
+            degree_set_filter(parse_poly("5"), [3])
+
+    def test_corrupted_degree_one_block_raises(self, monkeypatch):
+        # a root block that does not divide f mod p, and a cofactor that does
+        # not multiply back, are caught at a settled prime as at any other
+        f = parse_poly("-1,0,0,0,1")
+        original_gcd, original_quotient = modp._gcd, modp._exact_quotient
+        with monkeypatch.context() as mp:
+            mp.setattr(modp, "_gcd", lambda a, b, p: (lambda g: g if len(g) == 1 else [g[0] + 1] + g[1:])(
+                original_gcd(a, b, p)))
+            with pytest.raises(DomainError, match="^division was not exact$"):
+                degree_set_filter(f, [5])
+        with monkeypatch.context() as mp:
+            mp.setattr(modp, "_exact_quotient", lambda a, b, p: (lambda q: [q[0] + 1] + q[1:])(
+                original_quotient(a, b, p)))
+            with pytest.raises(DomainError, match="^factor blocks do not multiply back to f mod p$"):
+                degree_set_filter(f, [7])
+        assert degree_set_filter(f, [5, 7]) == {0, 1, 2, 3, 4}
 
 
 class TestParity:

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +32,33 @@ class TestIsPrime:
         assert SMALL_PRIMES[:6] == [2, 3, 5, 7, 11, 13] and SMALL_PRIMES[-1] == 65521
         assert SMALL_PRIMES == [m for m in range(1 << 16) if trial_division_is_prime(m)]
         assert all(is_prime(p) for p in SMALL_PRIMES)
+
+    def test_small_primes_listed_on_first_read(self):
+        # a process that never trial-divides never lists them: classify (the
+        # filter's primes, the sieved drops) and 7,000 values of primes()
+        # read the sieve itself
+        code = (
+            "import json\n"
+            "from fractions import Fraction\n"
+            "from itertools import islice\n"
+            "from glpgalois import primes\n"
+            "from glpgalois.glp import GlpParams, classify\n"
+            "for n, a in [(9, '0'), (20, '5/3'), (31, '1'), (44, '-1/2')]:\n"
+            "    classify(GlpParams.from_alpha(n, Fraction(a)))\n"
+            "seq = list(islice(primes.primes(), 7000))\n"
+            "before = 'SMALL_PRIMES' in vars(primes)\n"
+            "small = primes.SMALL_PRIMES\n"
+            "print(json.dumps([before, small is vars(primes)['SMALL_PRIMES'], seq]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(primes.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        before, cached, seq = json.loads(out.stdout)
+        assert not before and cached
+        above = (m for m in range((1 << 16) + 1, 1 << 17, 2) if trial_division_is_prime(m))
+        assert seq == SMALL_PRIMES + [next(above) for _ in range(7000 - len(SMALL_PRIMES))]
+        assert not hasattr(primes, "LARGE_PRIMES")
 
     def test_above_sieve_limit(self):
         assert is_prime(65537)
