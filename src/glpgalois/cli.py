@@ -170,15 +170,19 @@ def _scan_one(task: tuple[int, str, bool]) -> str:
 
 
 def _cmd_glp_scan(args) -> int:
+    from .glp import _check_effort
+
     if args.n_from > args.n_to:
         raise DomainError("--n-from must not exceed --n-to")
     if args.jobs is not None and args.jobs < 1:
         raise DomainError("--jobs must be at least 1")
     alpha = str(_parse_fraction(args.alpha))
-    tasks = [(n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1)]
+    # refused before the first line, since every n up to --n-to is a case
+    _check_effort(args.n_to)
+    tasks = ((n, alpha, args.assume_irreducible) for n in range(args.n_from, args.n_to + 1))
     # the CPUs this process may run on (a pinned process may use fewer than the host has)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(args.jobs or cpus, cpus, len(tasks))
+    jobs = min(args.jobs or cpus, cpus, args.n_to - args.n_from + 1)
     if jobs > 1:
         import multiprocessing  # only a pool needs it; kept out of every other start-up
 

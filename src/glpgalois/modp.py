@@ -10,16 +10,18 @@ bytes are packed and unpacked in bulk through `array`; wider ones (large p)
 byte by byte.  Reduction mod fbar adds multiples of a packed table of x^k mod
 fbar, k <= 2n - 2, built packed: x times a row is the row without its top
 slot, shifted up one slot, plus the top times x^n mod fbar, and one slot-wise
-reduction of all the rows follows.  h -> h^p adds multiples of the packed
-Frobenius rows x^(ip) mod fbar: read from the table while ip <= 2n - 2, and
-past it each the packed product of the row before and x^p, reduced by the
-same table; no row is kept as a list, and none is built for the first
-step, x -> x^p.  The h - x of a run of isqrt(n) consecutive d meet f in one
-gcd g, which is divided out of the cofactor once and then split d by d; once
-deg g < 2d, g holds one factor and is one block.  When a few roots could
-settle a prime, the degree-set filter takes degree 1 alone, from x^p, and
-stops at it when the number of roots decides what the prime does to the
-surviving degrees (_settles).  Whether p is good is decided once, by the
+reduction of all the rows follows.  x^p is a table row while p <= 2n - 2,
+and past it (x^(2n-2))^q x^r for q, r = divmod(p, 2n - 2).  h -> h^p adds
+multiples of the packed Frobenius rows x^(ip) mod fbar: read from the table
+while ip <= 2n - 2, and past it each the packed product of the row before
+and x^p, reduced by the same table; no row is kept as a list, and none is
+built for the first step, x -> x^p.  The h - x of a run of isqrt(n)
+consecutive d meet f in one gcd g, which is divided out of the cofactor
+once and then split d by d; once deg g < 2d, g holds one factor and is one
+block.  The degree-set filter stops factoring a prime after any run whose
+factors and cofactor degree decide what the prime does to the surviving
+degrees (_settles); when a few roots could settle the prime, degree 1 is a
+run of its own, from x^p alone.  Whether p is good is decided once, by the
 reduction itself, and p is not bounded.
 
 Euclid (gcd and division) also runs on packed operands.  Eliminating the
@@ -198,15 +200,18 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
         # reduced, with every slot below p like a table row
         return _pack(_unpack(reduce_product(c), w, n, p), w)
 
-    # x^p: the table's row while p <= 2n - 2, else powered from x
+    # x^p: the table's row while p <= 2n - 2, else (x^(2n-2))^q x^r for q, r
+    # = divmod(p, 2n - 2), both bases table rows and q by square-and-multiply
     if p <= 2 * n - 2:
         xp = table[p]
     else:
-        xp = 1 << W
-        for bit in bin(p)[3:]:
+        q, r = divmod(p, 2 * n - 2)
+        xp = base = table[-1]
+        for bit in bin(q)[3:]:
             xp = row_product(xp * xp)
             if bit == "1":
-                xp = row_product(xp << W)
+                xp = row_product(xp * base)
+        xp = row_product(xp * table[r])
     rows: list[int] = []
 
     def frobenius(h: Residues) -> Residues:
@@ -327,16 +332,18 @@ def _minus_x(h: Residues, p: int) -> Residues:
 
 
 def _ddf_degrees(
-    fbar: Residues, p: int, settle: Optional[Callable[[int], bool]] = None
+    fbar: Residues, p: int, settle: Optional[Callable[[int, int, int], bool]] = None
 ) -> tuple[list[int], list[Residues]]:
     """Degrees of the irreducible factors of a square-free monic fbar, plus
     the per-degree blocks for the reconstruction check.  h = x^(p^d) is kept
     mod fbar itself: every cofactor divides fbar, so the gcd is the same.  A
     run's gcd g is divided out of the cofactor once, then split d by d.
-    With settle, degree 1 is a step of its own, which builds no Frobenius
-    row: when settle(r) holds for the number r of roots, factoring stops,
-    and the cofactor of the roots is one block of its degree, whatever its
-    factors."""
+    With settle, factoring stops after the run that ends at d when
+    settle(found, d, rest) holds, for the subset sums found (a bitmask) of
+    the degrees so far, all <= d, and the degree rest of the cofactor, whose
+    factors all have degree > d: the cofactor is then one block of its
+    degree, whatever its factors.  Degree 1 is a run of its own, which builds
+    no Frobenius row, when _SETTLE_ROOTS roots would settle."""
     n = len(fbar) - 1
     if n < 2:
         return [n], [fbar]
@@ -345,23 +352,16 @@ def _ddf_degrees(
     degrees: list[int] = []
     blocks: list[Residues] = []
     fcur, h, d = fbar, [0, 1], 0
-    if settle is not None:
-        h, d = frobenius(h), 1
-        g = _gcd(fbar, _minus_x(h, p), p)
-        if len(g) > 1:
-            degrees.extend([1] * (len(g) - 1))
-            blocks.append(g)
-            fcur = _exact_quotient(fbar, g, p)
-        if settle(len(g) - 1):
-            if len(fcur) > 1:
-                degrees.append(len(fcur) - 1)
-                blocks.append(fcur)
-            return degrees, blocks
+    # _SETTLE_ROOTS roots have subset sums 0.._SETTLE_ROOTS
+    step = 1 if settle is not None and settle((1 << _SETTLE_ROOTS + 1) - 1, 1, n - _SETTLE_ROOTS) else run
     while 2 * (d + 1) <= len(fcur) - 1:
+        if d and settle is not None and settle(_closure_mask(degrees), d, len(fcur) - 1):
+            break
         diffs = {}
-        for d in range(d + 1, min(d + run, (len(fcur) - 1) // 2) + 1):
+        for d in range(d + 1, min(d + step, (len(fcur) - 1) // 2) + 1):
             h = frobenius(h)
             diffs[d] = _minus_x(h, p)
+        step = run
         g = _gcd(fcur, reduce(mulmod, diffs.values()), p)
         if len(g) > 1:
             fcur = _exact_quotient(fcur, g, p)
@@ -381,13 +381,13 @@ def _ddf_degrees(
                 if b is g:
                     break
                 g = _exact_quotient(g, b, p)
-    if len(fcur) > 1:  # no factor of degree <= deg/2 is left
+    if len(fcur) > 1:  # one factor, or settled: one block either way
         degrees.append(len(fcur) - 1)
         blocks.append(fcur)
     return degrees, blocks
 
 
-def _checked_degrees(f: Poly, p: int, settle: Optional[Callable[[int], bool]] = None) -> list[int]:
+def _checked_degrees(f: Poly, p: int, settle: Optional[Callable[[int, int, int], bool]] = None) -> list[int]:
     """_ddf_degrees of f mod a good prime p, once its blocks multiply back."""
     kept = _ACCEPTED.pop((id(f), p), None)
     fbar = _good_reduction(f, p) if kept is None else kept[1]
@@ -421,35 +421,47 @@ def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
     return frozenset(i for i in range(sum(degrees) + 1) if mask >> i & 1)
 
 
-def _settles(out: int, n: int, r: int) -> bool:
-    """Whether r roots mod p decide what the prime does to the surviving
-    degree set out (a bitmask): its subset sums hold [0, r] and [R, n] for
-    R = n - r, and every other lies in U = (r, R) & [2, n - 2], as each other
-    factor has degree >= 2.  Settled when the rest is one factor or none
-    (R < 4), or when out meets no U."""
-    lo, hi = max(r + 1, 2), min(n - r - 1, n - 2)
-    return n - r < 4 or hi < lo or not out >> lo & (1 << hi - lo + 1) - 1
+def _settles(out: int, found: int, d: int, rest: int) -> bool:
+    """Whether the factors found mod p, of degrees <= d and subset sums found
+    (a bitmask), and a cofactor of degree rest with every factor of degree >
+    d decide what the prime does to the surviving degree set out (a
+    bitmask).  Its subset sums hold sure = found + {0, rest}, and every other
+    lies in found + (d, rest - d), as a proper part of the cofactor has
+    degree in (d, rest - d).  Settled when that interval is empty (the
+    cofactor is one factor or none) or when out meets none of those others
+    outside sure.  At d = 1 with r roots this asks whether out meets (r, n -
+    r) & [2, n - 2]."""
+    lo, hi = d + 1, rest - d - 1
+    if hi < lo:
+        return True
+    # found + [lo, hi], by doubling the shifts it holds
+    spread, width = found << lo, 1
+    while width <= hi - lo:
+        shift = min(width, hi - lo + 1 - width)
+        spread |= spread << shift
+        width += shift
+    return not out & spread & ~(found | found << rest)
 
 
-# A prime settles only with enough roots (more roots never unsettle it).  f
-# mod p has k or more roots with chance at most about 1/k!, the expected number
-# of its k-sets of roots, so degree 1 is taken alone, at the cost of one more
-# gcd, only when this many roots would settle the prime.
+# A prime settles at degree 1 only with enough roots (more roots never
+# unsettle it).  f mod p has k or more roots with chance at most about 1/k!,
+# the expected number of its k-sets of roots, so degree 1 is a run of its
+# own, at the cost of one more gcd, only when this many roots would settle
+# the prime.
 _SETTLE_ROOTS = 3
 
 
 def degree_set_filter(f: Poly, primes_list: list[int]) -> set[int]:
     """Intersect the subset-sum closures of the factor-degree multisets over
     the given good primes; a superset of the degrees of rational factors of f.
-    A prime whose roots settle it (_settles) is factored no further: the
-    cofactor of its roots counts as one factor.  {0, n} always survives, so
-    the primes after it reaches {0, n} are not factored; an output of
-    exactly {0, n} proves irreducibility."""
+    A prime that a gcd run settles (_settles) is factored no further: its
+    cofactor counts as one factor.  {0, n} always survives, so the primes
+    after it reaches {0, n} are not factored; an output of exactly {0, n}
+    proves irreducibility."""
     n = f.degree
     out, proved = (1 << n + 1) - 1, 1 | 1 << n
     for p in primes_list:
-        settle = partial(_settles, out, n)
-        out &= _closure_mask(_checked_degrees(f, p, settle if settle(_SETTLE_ROOTS) else None))
+        out &= _closure_mask(_checked_degrees(f, p, partial(_settles, out)))
         if out == proved:
             break
     return {i for i in range(n + 1) if out >> i & 1}

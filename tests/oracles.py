@@ -256,6 +256,36 @@ def schoolbook_gcd(a, b, p):
     return _schoolbook_monic(a, p) if a else a
 
 
+def schoolbook_x_power(e, fbar, p):
+    """x^e mod a monic fbar over F_p, by square-and-multiply with schoolbook
+    products, each reduced by schoolbook_divmod."""
+
+    def mulmod(a, b):
+        prod = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        return schoolbook_divmod(prod, fbar, p)[1]
+
+    result, base = schoolbook_divmod([1], fbar, p)[1], schoolbook_divmod([0, 1], fbar, p)[1]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base = mulmod(base, base)
+        e >>= 1
+    return result
+
+
+def degree_one_settles(out, n, r):
+    """The degree-1 settle rule by root count: r roots mod p leave subset sums
+    [0, r] and [n - r, n] plus others only in (r, n - r) & [2, n - 2], as each
+    other factor has degree >= 2; settled when the rest is one factor or none
+    (n - r < 4), or when the surviving set out (a bitmask) meets none of
+    those others."""
+    lo, hi = max(r + 1, 2), min(n - r - 1, n - 2)
+    return n - r < 4 or hi < lo or not out >> lo & (1 << hi - lo + 1) - 1
+
+
 def drops_by_factoring(n, lam, mu):
     """{p: [(k, ord_p(k*mu + lam))]} over the k = 1..n with p | k*mu + lam,
     each factor factored on its own by `prime_factors`."""

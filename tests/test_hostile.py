@@ -15,6 +15,7 @@ import signal
 import time
 
 from glpgalois import cli, primes
+from glpgalois.glp import N_BUDGET
 
 BUDGET_S = 10.0
 SEMIPRIME = 10000000000000000051 * 30000000000000000041  # 40 digits
@@ -60,6 +61,7 @@ FIXED = [
     ["glp-classify", "--n", str(10**8), "--alpha", "0"],  # past the effort budget on n
     ["glp-disc", "--n", str(10**8), "--alpha", "0"],
     ["glp-scan", "--n-from", str(10**8), "--n-to", str(10**8), "--alpha", "0", "--jobs", "1"],
+    ["glp-scan", "--n-from", "9", "--n-to", str(N_BUDGET + 1), "--alpha", "0", "--jobs", "1"],
     ["certify", "--poly", "6,18,9,1", "--shifts", "a"],
     ["certify", "--poly", "6,18,9,1", "--shifts", "1/0"],
     ["certify", "--poly", "6,18,9,1", "--shifts", f"0,-1/2,{HUGE}"],

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -17,6 +18,7 @@ from glpgalois.modp import (
     ALL_EVEN,
     CONTAINS_ODD,
     CycleType,
+    _closure_mask,
     _divmod,
     _euclid_slots,
     _gcd,
@@ -39,11 +41,13 @@ from glpgalois.primes import primes
 
 from oracles import (
     degree_multisets,
+    degree_one_settles,
     is_good_prime_by_discriminant,
     is_irreducible_mod_p,
     low_degree_factor_degrees,
     schoolbook_divmod,
     schoolbook_gcd,
+    schoolbook_x_power,
     subset_sums_by_enumeration,
     trial_division_is_prime,
 )
@@ -381,6 +385,29 @@ class TestSlotWidths:
                 rest = schoolbook_divmod([0] * k + [1], fbar, p)[1]
                 assert row == _pack(rest + [0] * (n - len(rest)), w), (p, n, k)
 
+    def test_first_frobenius_step_is_x_to_the_p(self):
+        # x^p is the table's row for p <= 2n - 2, else (x^(2n-2))^q x^r with
+        # q, r = divmod(p, 2n - 2): primes just below, at and just above 2n - 2
+        # and 2(2n - 2), and two primes of 9- and 16-byte slots; the second
+        # step, h -> h^p on x^p, reads the Frobenius rows
+        def around(m):
+            below = max((q for q in range(2, m) if trial_division_is_prime(q)), default=None)
+            above = next(q for q in range(m + 1, 2 * m + 2) if trial_division_is_prime(q))
+            return ({below, above} | ({m} if trial_division_is_prime(m) else set())) - {None}
+
+        rng = random.Random(103)
+        seen = set()
+        for n in range(2, 31):
+            for p in sorted(around(2 * n - 2) | around(4 * n - 4) | {4294967311, 2**61 - 1}):
+                fbar = [rng.randrange(p) for _ in range(n)] + [1]
+                _, frobenius = modp._quotient_ring(fbar, p)
+                xp = frobenius([0, 1])
+                assert xp == schoolbook_x_power(p, fbar, p), (n, p)
+                assert frobenius(xp) == schoolbook_x_power(p * p, fbar, p), (n, p)
+                # 0: a table row; else q, up to 3
+                seen.add(0 if p <= 2 * n - 2 else min(p // (2 * n - 2), 3))
+        assert seen == {0, 1, 2, 3}
+
     @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
     def test_pack_round_trip_full_slots(self, w):
         top = (1 << 8 * w) - 1
@@ -532,30 +559,67 @@ def _frobenius_rows(frobenius):
 
 
 class TestDegreeOneSettle:
-    # r roots mod p leave subset sums [0, r] and [R, n] (R = n - r) plus
-    # others only in (r, R) & [2, n - 2]; a prime is settled at degree 1 when
-    # R < 4 or the surviving set meets none of those others
+    # after the gcd run that ends at d, the factors found (degrees <= d,
+    # subset sums F) and a cofactor of degree R, whose factors all have degree
+    # > d, leave subset sums F + {0, R} plus others only in F + (d, R - d); a
+    # prime is settled when the surviving set meets none of those others
+
+    @staticmethod
+    def _rule_by_enumeration(out, found, d, rest):
+        # the rule from its definition, one sum at a time
+        sure = found | {a + rest for a in found}
+        others = {a + b for a in found for b in range(d + 1, rest - d)} - sure
+        return not _bits(out) & others
 
     def test_rule_matches_enumerated_subset_sums(self):
+        # every degree multiset up to n = 12 split at every d into the found
+        # factors (<= d) and the cofactor (> d): a settled prime's surviving
+        # sums are the same for every split of the cofactor into degrees > d
         rng = random.Random(97)
-        settled = unsettled = 0
+        settled = unsettled = later = 0
         for n in range(1, 13):
             for degrees in degree_multisets(n):
-                r = degrees.count(1)
-                sums = subset_sums_by_enumeration(degrees)
-                rule = set(range(r + 1)) | set(range(n - r, n + 1))
-                assert rule <= sums, degrees
+                for d in range(1, n + 1):
+                    found = [e for e in degrees if e <= d]
+                    rest = n - sum(found)
+                    found_sums = subset_sums_by_enumeration(found)
+                    sure = found_sums | {a + rest for a in found_sums}
+                    splits = [c for c in degree_multisets(rest) if min(c, default=d + 1) > d]
+                    assert tuple(e for e in degrees if e > d) in splits
+                    closures = [subset_sums_by_enumeration(found + list(c)) for c in splits]
+                    assert all(sure <= sums for sums in closures), (degrees, d)
+                    for i in range(10):
+                        # half of them sparse, as a set a few primes have cut
+                        out = rng.getrandbits(n + 1) & (rng.getrandbits(n + 1) if i % 2 else -1) | 1 | 1 << n
+                        rule = modp._settles(out, _closure_mask(found), d, rest)
+                        assert rule == self._rule_by_enumeration(out, found_sums, d, rest), (degrees, d, bin(out))
+                        if rule:
+                            settled += 1
+                            later += d > 1 and rest >= 2 * (d + 1)
+                            for sums in closures:
+                                assert _bits(out) & sums == _bits(out) & sure, (degrees, d, bin(out))
+                        else:
+                            unsettled += 1
+                            assert rest >= 2 * (d + 1)
+        # later: settled where the DDF would have gone on
+        assert settled > 10000 and unsettled > 2000 and later > 400
+
+    def test_rule_at_degree_one_is_the_root_count_rule(self):
+        # with r roots found at d = 1 the rule is the old degree-1 settle,
+        # (r, n - r) & [2, n - 2] against the surviving set, and more roots
+        # never unsettle a prime
+        rng = random.Random(89)
+        for n in range(1, 40):
+            for r in range(n + 1):
                 for _ in range(20):
                     out = rng.getrandbits(n + 1) | 1 | 1 << n
-                    if modp._settles(out, n, r):
-                        # more roots never unsettle a prime
-                        assert r == n or modp._settles(out, n, r + 1), (degrees, bin(out))
-                        settled += 1
-                        assert _bits(out) & sums == _bits(out) & rule, (degrees, bin(out))
-                    else:
-                        unsettled += 1
-                        assert n - r >= 4
-        assert settled > 1000 and unsettled > 1000
+                    rule = modp._settles(out, (1 << r + 1) - 1, 1, n - r)
+                    assert rule == degree_one_settles(out, n, r), (n, r, bin(out))
+                    assert not rule or r == n or modp._settles(out, (1 << r + 2) - 1, 1, n - r - 1)
+            # the check that takes degree 1 alone: would _SETTLE_ROOTS roots settle?
+            roots = _closure_mask([1] * modp._SETTLE_ROOTS)
+            assert modp._settles(out, roots, 1, n - modp._SETTLE_ROOTS) == degree_one_settles(
+                out, n, modp._SETTLE_ROOTS)
 
     def test_filter_equals_full_factoring_on_the_glp_sweep_grid(self):
         for n in range(9, 61):
@@ -589,18 +653,34 @@ class TestDegreeOneSettle:
         assert min(kinds.values()) > 20
 
     @pytest.fixture
-    def rings(self, monkeypatch):
-        # each prime's Frobenius map, as _ddf_degrees receives it
-        made = []
+    def ring_spy(self, monkeypatch):
+        # each prime's Frobenius map, as _quotient_ring built it, and the
+        # number of Frobenius steps _ddf_degrees has taken with it so far
+        made, steps = [], []
         original = modp._quotient_ring
 
         def spy(fbar, p):
             mulmod, frobenius = original(fbar, p)
             made.append((p, frobenius))
-            return mulmod, frobenius
+            steps.append(0)
+            i = len(steps) - 1
+
+            def counted(h):
+                steps[i] += 1
+                return frobenius(h)
+
+            return mulmod, counted
 
         monkeypatch.setattr(modp, "_quotient_ring", spy)
-        return made
+        return made, steps
+
+    @pytest.fixture
+    def rings(self, ring_spy):
+        return ring_spy[0]
+
+    @pytest.fixture
+    def steps(self, ring_spy):
+        return ring_spy[1]
 
     def test_settled_prime_builds_no_frobenius_row(self, rings):
         # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1): 4 roots mod 5, 2 mod 7 with one
@@ -610,26 +690,70 @@ class TestDegreeOneSettle:
         assert degree_set_filter(parse_poly("1,0,0,0,1"), [3]) == {0, 2, 4}
         assert [(p, len(_frobenius_rows(frob))) for p, frob in rings] == [(5, 0), (7, 0), (3, 4)]
 
-    def test_settled_glp_primes_build_no_frobenius_row(self, rings, monkeypatch):
-        # the filter primes of the glp_sweep grid at n = 9..40: a settled
-        # prime's map stays unused, every other one builds its rows; a prime
-        # that only more than _SETTLE_ROOTS roots could settle gets no test
-        settled = []
+    def test_settled_glp_primes_build_no_frobenius_row(self, rings, steps, monkeypatch):
+        # the filter primes of the glp_sweep grid at n = 9..40: the rule is
+        # asked once before any step (may degree 1 be a run of its own?) and
+        # then after each run, d steps in; a prime settled at degree 1 builds
+        # no Frobenius row, one settled later takes no step past its run, and
+        # every other prime is factored in full, rows and all
+        calls = []
         original = modp._ddf_degrees
 
         def recorded(fbar, p, settle=None):
-            degrees, blocks = original(fbar, p, settle)
-            # the cofactor of the roots has none, so the 1s are the roots
-            settled.append(None if settle is None else settle(degrees.count(1)))
+            assert settle is not None
+            log = []
+
+            def logged(found, d, rest):
+                done = settle(found, d, rest)
+                log.append((steps[-1], d, done))
+                return done
+
+            degrees, blocks = original(fbar, p, logged)
+            calls.append((fbar, p, log, degrees))
             return degrees, blocks
 
         monkeypatch.setattr(modp, "_ddf_degrees", recorded)
         for n in range(9, 41):
             for alpha in ("0", "1", "5/3", "-1/2"):
                 classify(GlpParams.from_alpha(n, Fraction(alpha)))
-        assert len(settled) == len(rings) and {None, False, True} <= set(settled)
-        for done, (p, frob) in zip(settled, rings):
-            assert (len(_frobenius_rows(frob)) == 0) == bool(done), p
+        monkeypatch.undo()
+        assert len(calls) == len(rings) == len(steps)
+        kinds = set()
+        for (fbar, p, log, degrees), (_, frob), taken in zip(calls, rings, steps):
+            (before, _, alone), *after = log
+            assert before == 0 and all(s == d for s, d, _ in after), (p, log)
+            assert not any(done for _, _, done in after[:-1]), (p, log)
+            full = sorted(modp._ddf_degrees(fbar, p)[0])
+            if after and after[-1][2]:
+                d = after[-1][1]
+                assert taken == d, (p, log)
+                found = [e for e in full if e <= d]
+                assert sorted(degrees) == sorted(found + [len(fbar) - 1 - sum(found)]), p
+            else:
+                d = None
+                assert sorted(degrees) == full, p
+            assert (len(_frobenius_rows(frob)) == 0) == (taken <= 1), p
+            kinds.add((alone, d if d is None else min(d, 2)))
+        # degree 1 alone or not; settled at degree 1, after a later run, never
+        assert {(True, 1), (True, 2), (False, 2), (True, None), (False, None)} <= kinds
+
+    def test_prime_settled_after_a_later_run_takes_no_further_step(self, rings, steps):
+        # mod 2, (x^2 + x + 1)(x^7 + x + 1)(x^9 + x^4 + 1), n = 18, runs of 4.
+        # Against {0, 4, 14, 18} three roots would not settle (4 lies in (3,
+        # 15)), so degree 1 is no run of its own.  The run d = 1..4 finds the
+        # quadratic, and {0, 2} + (4, 12) = [5, 13] misses the set, so the
+        # prime stops there with the cofactor of degree 16 as one block;
+        # factored in full it takes 8 steps and the same surviving sums
+        factors = [[1, 1, 1], [1, 1] + [0] * 5 + [1], [1] + [0] * 3 + [1] + [0] * 4 + [1]]
+        assert all(is_irreducible_mod_p(f, 2) for f in factors)
+        fbar = _product(_product(factors[0], factors[1], 2), factors[2], 2)
+        out = 1 | 1 << 4 | 1 << 14 | 1 << 18
+        degrees, blocks = modp._ddf_degrees(fbar, 2, partial(modp._settles, out))
+        assert degrees == [2, 16] and blocks == [factors[0], _product(factors[1], factors[2], 2)]
+        assert steps == [4] and len(_frobenius_rows(rings[0][1])) == 18
+        assert modp._ddf_degrees(fbar, 2) == ([2, 7, 9], factors)
+        assert steps == [4, 8]
+        assert _closure_mask([2, 16]) & out == _closure_mask([2, 7, 9]) & out == 1 | 1 << 18
 
     def test_prime_that_only_many_roots_settle_is_factored_in_full(self, rings):
         # (x - 1)...(x - 6)(x^2 + 1) has 6 roots mod 11 (which would settle
@@ -638,8 +762,8 @@ class TestDegreeOneSettle:
         f = Poly.from_coeffs([1, 0, 1])
         for k in range(1, 7):
             f = f * Poly.from_coeffs([-k, 1])
-        assert modp._settles((1 << 9) - 1, 8, 6)
-        assert not modp._settles((1 << 9) - 1, 8, modp._SETTLE_ROOTS)
+        assert modp._settles((1 << 9) - 1, (1 << 7) - 1, 1, 2)
+        assert not modp._settles((1 << 9) - 1, _closure_mask([1] * modp._SETTLE_ROOTS), 1, 8 - modp._SETTLE_ROOTS)
         assert degree_set_filter(f, [11]) == set(range(9))
         assert [(p, len(_frobenius_rows(frob))) for p, frob in rings] == [(11, 8)]
 
