@@ -101,6 +101,8 @@ def certify_large_galois(
     the largest index found, or inconclusive if every index is 1.  contains_An
     is never claimed when irreducibility is neither established nor asserted.
     """
+    if f.degree < 2:
+        raise DomainError("certification requires degree >= 2")
     reports = ((Fraction(mu), newton_index(f.shift(mu))) for mu in shifts)
     return certify_from_reports(f.degree, reports, irreducibility, jordan_window_primes(f.degree))
 
@@ -114,8 +116,6 @@ def certify_from_reports(
     """The certificate for the first (shift, report) pair whose index has a
     divisor among the window primes, tried in the given order; see
     certify_large_galois.  Pairs are consumed lazily, up to the first hit."""
-    if n < 2:
-        raise DomainError("certification requires degree >= 2")
     best_index, best_shift = 1, None
     for mu, report in reports:
         if irreducibility is not None:

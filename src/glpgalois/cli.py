@@ -24,7 +24,7 @@ from .errors import DomainError
 # the most Frobenius samples one `frobenius` call takes; each factors f modulo
 # one more good prime.  If the group is not inside A_n, half of it is odd, so
 # k all-even samples have chance 2^-k, here 2^-1000.  1,000 samples of a
-# degree-24 f take about 1.2 s on one core of a 2-vCPU Xeon VM, 125 times the
+# degree-24 f take about 0.9 s on one core of a 2-vCPU Xeon VM, 125 times the
 # 8 that glpbench's corpora ask for
 FROBENIUS_SAMPLE_BUDGET = 1_000
 

@@ -13,8 +13,8 @@ slot, shifted up one slot, plus the top times x^n mod fbar, and one slot-wise
 reduction of all the rows follows.  x^p is a table row while p <= 2n - 2,
 and past it (x^(2n-2))^q x^r for q, r = divmod(p, 2n - 2).  h -> h^p adds
 multiples of the packed Frobenius rows x^(ip) mod fbar: read from the table
-while ip <= 2n - 2, and past it each the packed product of the row before
-and x^p, reduced by the same table; no row is kept as a list, and none is
+while ip <= 2n - 2, and past it each x^p times the row before, the sum of its
+residues r_j times x^(p+j), j < n; no row is kept as a list, and none is
 built for the first step, x -> x^p.  The h - x of a run of isqrt(n)
 consecutive d meet f in one gcd g, which is divided out of the cofactor
 once and then split d by d; once deg g < 2d, g holds one factor and is one
@@ -157,35 +157,36 @@ def _product(a: Residues, b: Residues, p: int) -> Residues:
 
 def _power_table(fbar: Residues, p: int, w: int) -> list[int]:
     """The rows x^k mod fbar, k = 0..2n-2, of a monic fbar of degree n >= 1,
-    packed in w-byte slots.  Past x^(n-1) each row is x times the one before:
-    the row without its top slot, shifted up one slot, plus top * (x^n mod
-    fbar).  Only the top slot is reduced on the way, so a slot gains at most
-    (p - 1)^2 a row and stays below n(p - 1)^2; one slot-wise reduction of
-    all those rows follows."""
-    n = len(fbar) - 1
+    packed in w-byte slots; past x^(n-1), its companion rows."""
+    n, xn = len(fbar) - 1, _pack([-c % p for c in fbar[:-1]], w)
+    return [1 << 8 * w * k for k in range(n)] + _companion_rows(1 << 8 * w * (n - 1), n - 1, xn, n, p, w)
+
+
+def _companion_rows(start: int, count: int, xn: int, n: int, p: int, w: int) -> list[int]:
+    """x^k start mod fbar, k = 1..count, for start and xn = x^n mod fbar in n
+    w-byte slots below p: x times a row is the row without its top slot,
+    shifted up one slot, plus (top mod p) * xn.  Slots stay below p + count
+    (p - 1)^2 until one slot-wise reduction of all the rows."""
     W = 8 * w
-    xn = _pack([-c % p for c in fbar[:n]], w)
     top, low = W * (n - 1), (1 << W * (n - 1)) - 1
-    stack, t = 0, xn
-    for i in range(n - 1):
-        stack |= t << i * n * W
+    stack, t = [], start
+    for _ in range(count):
         t = ((t & low) << W) + (t >> top) % p * xn
-    stack = _pack(_unpack(stack, w, (n - 1) * n, p), w)
-    row = (1 << n * W) - 1
-    return [1 << W * k for k in range(n)] + [stack >> i * n * W & row for i in range(n - 1)]
+        stack.append(t.to_bytes(n * w, "little"))
+    c = _unpack(int.from_bytes(b"".join(stack), "little"), w, count * n, p)
+    return [_pack(c[i : i + n], w) for i in range(0, count * n, n)]
 
 
 def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
     """Multiplication and the Frobenius map h -> h^p in F_p[x]/(fbar), for a
-    monic fbar of degree n >= 2.  h^p = h(x^p) is F_p-linear, so it is the
-    sum of h_i times the packed row x^(ip) mod fbar; the rows are built on
-    the first call past x -> x^p, which needs none."""
+    monic fbar of degree n >= 2.  h^p = h(x^p) is the sum of h_i times the
+    packed rows x^(ip) mod fbar, built on the first call past x -> x^p; past
+    the table, x^p times the row r before is sum_j r_j x^(p+j), j < n."""
     n = len(fbar) - 1
     # a slot collects at most n products from a multiplication or a Frobenius
     # sum and n - 1 from the reduction, each at most (p - 1)^2
     w = _slot_bytes(2 * n * (p - 1) ** 2)
-    W, shift = 8 * w, 8 * w * n
-    table = _power_table(fbar, p, w)
+    table, shift = _power_table(fbar, p, w), 8 * w * n
     high_table, low = table[n:], (1 << shift) - 1
 
     def reduce_product(c: int) -> int:
@@ -218,12 +219,15 @@ def _quotient_ring(fbar: Residues, p: int) -> tuple[Callable, Callable]:
         if not rows:
             if h == [0, 1]:  # the first step, x -> x^p, needs no row
                 return _trim(_unpack(xp, w, n, p))
-            # rows x^(ip) mod fbar: from the table while ip <= 2n - 2, then
-            # each the packed product of the last row and x^p
             first = (2 * n - 2) // p + 1
             rows.extend(table[: first * p : p])
-            for _ in range(first, n):
-                rows.append(row_product(rows[-1] * xp))
+            if first < n:
+                shifted = table[p : p + n] or [xp]
+                shifted += _companion_rows(shifted[-1], n - len(shifted), table[n], n, p, w)
+                r = _unpack(rows[-1], w, n, p)
+                for _ in range(first, n):
+                    r = _unpack(sum(map(mul, r, shifted)), w, n, p)
+                    rows.append(_pack(r, w))
         return _trim(_unpack(sum(map(mul, h, rows)), w, n, p))
 
     return mulmod, frobenius
@@ -239,12 +243,12 @@ def _euclid_slots(n: int, p: int) -> tuple[int, int]:
     return _slot_bytes(1 << 2 * k - p.bit_length()), k
 
 
-def _eliminate(A: int, da: int, B: int, db: int, p: int, W: int, quotient: Residues) -> int:
+def _eliminate(A: int, da: int, B: int, db: int, p: int, W: int, quotient: Optional[Residues] = None) -> int:
     """Reduce the packed A (degree da) below degree db by the packed B (degree
     db, slots W bits wide), slot i from the top, writing the quotient
-    coefficients into quotient.  Eliminating slot i adds t * (B << (i - db) W)
-    with t = -c / lc(B) mod p: slots only grow and never borrow.  Slots at and
-    above db end as multiples of p."""
+    coefficients into quotient when one is given.  Eliminating slot i adds
+    t * (B << (i - db) W) with t = -c / lc(B) mod p: slots only grow and never
+    borrow.  Slots at and above db end as multiples of p."""
     M = (1 << W) - 1
     ninv = p - pow((B >> db * W) % p, -1, p)
     for i in range(da, db - 1, -1):
@@ -252,7 +256,8 @@ def _eliminate(A: int, da: int, B: int, db: int, p: int, W: int, quotient: Resid
         if c:
             t = c * ninv % p
             A += t * B << (i - db) * W
-            quotient[i - db] = p - t
+            if quotient is not None:
+                quotient[i - db] = p - t
     return A
 
 
@@ -290,7 +295,7 @@ def _gcd(a: Residues, b: Residues, p: int) -> Residues:
     qmask = ((1 << W * n) - 1) // M * ((1 << W - k) - 1)  # 2^(W-k) - 1 in every slot
     A, da, B, db = _pack(a, w), n - 1, _pack(b, w), len(b) - 1
     while db:
-        R = _eliminate(A, da, B, db, p, W, [0] * (da - db + 1)) & (1 << db * W) - 1
+        R = _eliminate(A, da, B, db, p, W) & (1 << db * W) - 1
         R -= p * (R * m >> k & qmask)
         j = db - 1
         while j >= 0 and not (R >> j * W & M) % p:
@@ -414,11 +419,6 @@ def _closure_mask(degrees) -> int:
     for d in degrees:
         mask |= mask << d
     return mask
-
-
-def subset_sum_closure(degrees: tuple[int, ...]) -> frozenset[int]:
-    mask = _closure_mask(degrees)
-    return frozenset(i for i in range(sum(degrees) + 1) if mask >> i & 1)
 
 
 def _settles(out: int, found: int, d: int, rest: int) -> bool:

@@ -16,8 +16,10 @@ denominator valuations both, where the library takes integer coefficients.
 The library has no p-adic valuation of a coefficient: `ord_p` here is the
 tests' own.  The criterion-prime shortcut, `lemma_key_check`, reads it on
 every big c_j, where the library's `find_criterion_prime` reads the drops.
-Subset sums of a factor-degree multiset come from listing its sub-multisets,
-where the library shifts a bitmask and may stop a prime at its roots.
+Subset sums of a factor-degree multiset come from listing its sub-multisets
+or from growing a set, where the library shifts a bitmask and may stop a
+prime at its roots.  Powers of x mod fbar come from schoolbook products,
+where the library reads packed table and Frobenius rows.
 """
 
 import math
@@ -217,6 +219,14 @@ def subset_sums_by_enumeration(degrees):
     return {sum(c) for k in range(len(degrees) + 1) for c in combinations(degrees, k)}
 
 
+def subset_sum_closure(degrees):
+    """The subset sums of degrees, grown one degree at a time as a set."""
+    sums = {0}
+    for d in degrees:
+        sums |= {s + d for s in sums}
+    return frozenset(sums)
+
+
 def is_irreducible_mod_p(int_coeffs, p):
     """Irreducibility over F_p of a monic polynomial (coefficients low first),
     by trial division by every monic polynomial of degree <= deg/2."""
@@ -256,22 +266,24 @@ def schoolbook_gcd(a, b, p):
     return _schoolbook_monic(a, p) if a else a
 
 
+def schoolbook_mulmod(a, b, fbar, p):
+    """a * b mod a monic fbar over F_p: a schoolbook product reduced by
+    schoolbook_divmod."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return schoolbook_divmod([c % p for c in prod], fbar, p)[1]
+
+
 def schoolbook_x_power(e, fbar, p):
-    """x^e mod a monic fbar over F_p, by square-and-multiply with schoolbook
-    products, each reduced by schoolbook_divmod."""
-
-    def mulmod(a, b):
-        prod = [0] * max(len(a) + len(b) - 1, 0)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        return schoolbook_divmod(prod, fbar, p)[1]
-
+    """x^e mod a monic fbar over F_p, by square-and-multiply with
+    schoolbook_mulmod."""
     result, base = schoolbook_divmod([1], fbar, p)[1], schoolbook_divmod([0, 1], fbar, p)[1]
     while e:
         if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
+            result = schoolbook_mulmod(result, base, fbar, p)
+        base = schoolbook_mulmod(base, base, fbar, p)
         e >>= 1
     return result
 

@@ -99,6 +99,11 @@ class TestCertify:
             "irreducibility_basis": "assumed",
         }
 
+    def test_degree_one_exit_1(self, capsys):
+        code, out, err = run(capsys, "certify", "--poly=1,1")
+        assert (code, out) == (1, "")
+        assert err == "error: certification requires degree >= 2\n"
+
     def test_shifts_flag(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--poly=-1,0,1", "--shifts", "0,1/2", "--json"
@@ -165,6 +170,13 @@ class TestGlpClassify:
         assert data["criterion_prime"] == 5
         assert data["certificate"]["slope"] == "-1/5"
 
+    def test_degree_one_answers(self, capsys):
+        code, out, err = run(capsys, "glp-classify", "--n", "1", "--alpha", "0", "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["group"] == data["certificate"]["verdict"] == "inconclusive"
+        assert data["certificate"]["newton_index"] == 1
+
     def test_bad_alpha_exit_1(self, capsys):
         code, _, err = run(capsys, "glp-classify", "--n", "5", "--alpha", "-2")
         assert code == 1
@@ -221,6 +233,13 @@ class TestGlpScan:
         lines = [json.loads(line) for line in out.splitlines()]
         assert [d["n"] for d in lines] == [9, 10, 11, 12]
         assert all(d["group"] == "S_n" for d in lines)
+
+    def test_starts_at_degree_one(self, capsys):
+        code, out, err = run(capsys, "glp-scan", "--n-from", "1", "--n-to", "12", "--alpha", "0", "--jobs", "1")
+        assert (code, err) == (0, "")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [d["n"] for d in lines] == list(range(1, 13))
+        assert lines[0]["group"] == "inconclusive"
 
     def test_worker_pool_matches_one_process(self):
         # --jobs 2 runs the cases in a multiprocessing pool; a fresh process,

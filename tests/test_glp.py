@@ -465,6 +465,19 @@ class TestClassify:
         assert c.criterion_prime is None
         assert c.certificate.newton_index > 1  # partial evidence still reported
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "5/3", "-1/2", "-7/3", "2"])
+    def test_degree_one_is_inconclusive(self, alpha):
+        # L_1^(alpha) is in the paper's domain; its group is trivial, so no
+        # Jordan window and index 1: an answer, not a certification error
+        c = classify(GlpParams.from_alpha(1, alpha))
+        assert c.group == GROUP_INCONCLUSIVE
+        assert c.certificate.verdict == INCONCLUSIVE
+        assert c.certificate.newton_index == 1
+        assert c.certificate.witness_prime_q is None
+        # generic certification still refuses degree 1
+        with pytest.raises(DomainError, match="degree >= 2"):
+            certify_large_galois(glp_normalized(GlpParams.from_alpha(1, alpha)))
+
     def test_no_assumption_no_claim(self):
         # evidence still establishes irreducibility here, so the claim survives
         c = classify(GlpParams(9, 0, 1), assume_irreducible=False)

@@ -34,7 +34,6 @@ from glpgalois.modp import (
     good_primes,
     is_good_prime,
     parity_evidence,
-    subset_sum_closure,
 )
 from glpgalois.polys import Poly, parse_poly
 from glpgalois.primes import primes
@@ -47,7 +46,9 @@ from oracles import (
     low_degree_factor_degrees,
     schoolbook_divmod,
     schoolbook_gcd,
+    schoolbook_mulmod,
     schoolbook_x_power,
+    subset_sum_closure,
     subset_sums_by_enumeration,
     trial_division_is_prime,
 )
@@ -385,11 +386,16 @@ class TestSlotWidths:
                 rest = schoolbook_divmod([0] * k + [1], fbar, p)[1]
                 assert row == _pack(rest + [0] * (n - len(rest)), w), (p, n, k)
 
-    def test_first_frobenius_step_is_x_to_the_p(self):
+    def test_frobenius_steps_and_rows(self):
         # x^p is the table's row for p <= 2n - 2, else (x^(2n-2))^q x^r with
-        # q, r = divmod(p, 2n - 2): primes just below, at and just above 2n - 2
-        # and 2(2n - 2), and two primes of 9- and 16-byte slots; the second
-        # step, h -> h^p on x^p, reads the Frobenius rows
+        # q, r = divmod(p, 2n - 2).  Past the table's stride each Frobenius row
+        # is x^p times the row before, the sum of its residues times the rows
+        # x^(p+j), j < n: table rows wholly (p < n), table rows then companion
+        # steps (n <= p <= 2n - 2), or companion steps from x^p (p > 2n - 2).
+        # Primes just below, at and just above n - 1, 2n - 2 and 4n - 4, and
+        # two of 9- and 16-byte slots; three steps against x^(p^d) (the second
+        # at n <= 30 and the third at n <= 20, as schoolbook powers are slow),
+        # and every row, slots reduced below p, against schoolbook products
         def around(m):
             below = max((q for q in range(2, m) if trial_division_is_prime(q)), default=None)
             above = next(q for q in range(m + 1, 2 * m + 2) if trial_division_is_prime(q))
@@ -397,16 +403,27 @@ class TestSlotWidths:
 
         rng = random.Random(103)
         seen = set()
-        for n in range(2, 31):
-            for p in sorted(around(2 * n - 2) | around(4 * n - 4) | {4294967311, 2**61 - 1}):
+        for n in range(2, 41):
+            for p in sorted(around(n - 1) | around(2 * n - 2) | around(4 * n - 4) | {4294967311, 2**61 - 1}):
                 fbar = [rng.randrange(p) for _ in range(n)] + [1]
                 _, frobenius = modp._quotient_ring(fbar, p)
-                xp = frobenius([0, 1])
+                xp = h = frobenius([0, 1])
                 assert xp == schoolbook_x_power(p, fbar, p), (n, p)
-                assert frobenius(xp) == schoolbook_x_power(p * p, fbar, p), (n, p)
-                # 0: a table row; else q, up to 3
+                for d in range(2, 4 if n <= 20 else 3 if n <= 30 else 2):
+                    h = frobenius(h)
+                    assert h == schoolbook_x_power(p**d, fbar, p), (n, p, d)
+                assert frobenius([1]) == [1]  # builds the rows, also where x^p = x
+                w = _slot_bytes(2 * n * (p - 1) ** 2)
+                rows, want = _frobenius_rows(frobenius), [1]
+                assert len(rows) == n
+                for i, row in enumerate(rows):
+                    assert row == _pack(want + [0] * (n - len(want)), w), (n, p, i)
+                    want = schoolbook_mulmod(want, xp, fbar, p)
+                # x^p: 0, a table row, else q up to 3; rows past the stride
                 seen.add(0 if p <= 2 * n - 2 else min(p // (2 * n - 2), 3))
-        assert seen == {0, 1, 2, 3}
+                if (2 * n - 2) // p + 1 < n:
+                    seen.add("table" if p < n else "extended" if p <= 2 * n - 2 else "from x^p")
+        assert seen == {0, 1, 2, 3, "table", "extended", "from x^p"}
 
     @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
     def test_pack_round_trip_full_slots(self, w):
@@ -532,8 +549,15 @@ class TestDegreeSetFilter:
         assert degree_set_filter(f, [7, 5]) == {0, 3}
 
     def test_subset_sum_closure(self):
+        # the filter's bitmask closure against the set-grown oracle, and the
+        # oracle against enumeration
         assert subset_sum_closure((1, 2)) == {0, 1, 2, 3}
         assert subset_sum_closure((3,)) == {0, 3}
+        for n in range(1, 11):
+            for degrees in degree_multisets(n):
+                want = subset_sum_closure(degrees)
+                assert want == subset_sums_by_enumeration(degrees)
+                assert _bits(_closure_mask(degrees)) == want
 
 
 def _bits(mask):
