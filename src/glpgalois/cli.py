@@ -6,6 +6,10 @@ identical invocations produce byte-identical output.
 
 Each subcommand imports, inside its function, only the modules it runs, so
 that a start loads (and, without a bytecode cache, compiles) no others.
+
+An answer's integers become text only in `_print` and `_scan_one`, with the
+interpreter's int-to-str digit limit (4,300 digits from Python 3.11) lifted
+there: an index or Delta of any size prints, a longer input number is refused.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError
 
@@ -27,6 +32,17 @@ from .errors import DomainError
 # degree-24 f take about 0.9 s on one core of a 2-vCPU Xeon VM, 125 times the
 # 8 that glpbench's corpora ask for
 FROBENIUS_SAMPLE_BUDGET = 1_000
+# the most bits that `glp-disc` lets Delta have, by `_disc_bits`' estimate,
+# checked before Delta is built: building, testing and printing it take time
+# quadratic in its size.  The worst case found under it took 2.0 s (n = 164,
+# alpha = 10^20/3; 1.3 s at n = 331, alpha = 0) on one core of a 2-vCPU
+# Xeon VM
+DISC_BITS_BUDGET = 1 << 20
+# the same for `glp-disc --verify-resultant`.  Its Bareiss determinant of
+# Sylvester's matrix grows like n^3 products of numbers of about Delta's
+# size, so a bound on n alone would not do: alpha = 10^60 + 7 took 43 s at
+# n = 30.  The worst case found under it took 0.8 s (n = 32, alpha = 5/3)
+VERIFY_BITS_BUDGET = 1 << 13
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -36,15 +52,30 @@ def _parse_fraction(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational {text!r}") from None
 
 
-def _print(args, payload: dict, lines: list[str]) -> int:
+@contextmanager
+def _any_digits():
+    """Lift the interpreter's int-to-str digit limit, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _print(args, payload: dict, lines: Callable[[], list[str]]) -> int:
     """Print a subcommand's result: its payload as one JSON line under
-    --json, else its text lines."""
-    print(_json_line(payload) if args.json else "\n".join(lines))
+    --json, else the text lines that `lines` builds."""
+    with _any_digits():
+        print(_json_line(payload) if args.json else "\n".join(lines()))
     return 0
 
 
 def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, default=str)  # a Fraction (Delta) as its str
 
 
 def _cmd_np(args) -> int:
@@ -52,13 +83,11 @@ def _cmd_np(args) -> int:
     from .polys import parse_poly
 
     np_ = newton_polygon(parse_poly(args.poly), args.prime)
-    lines = [
+    return _print(args, polygon_to_dict(np_), lambda: [
         f"slope={s.slope} length={s.length} "
         f"from=({s.start[0]},{s.start[1]}) to=({s.end[0]},{s.end[1]})"
         for s in np_.segments
-    ]
-    lines.append("vertices: " + " ".join(f"({x},{y})" for x, y in np_.vertices))
-    return _print(args, polygon_to_dict(np_), lines)
+    ] + ["vertices: " + " ".join(f"({x},{y})" for x, y in np_.vertices)])
 
 
 def _cmd_index(args) -> int:
@@ -69,9 +98,8 @@ def _cmd_index(args) -> int:
     witnesses = report.witnesses  # built on each read
     payload = {"index": report.index,
                "witnesses": {str(p): [str(s) for s in sl] for p, sl in witnesses.items()}}
-    lines = [f"index={report.index}"]
-    lines += [f"p={p} slopes=" + ",".join(str(s) for s in witnesses[p]) for p in sorted(witnesses)]
-    return _print(args, payload, lines)
+    return _print(args, payload, lambda: [f"index={report.index}"] + [
+        f"p={p} slopes=" + ",".join(str(s) for s in witnesses[p]) for p in sorted(witnesses)])
 
 
 def _cmd_certify(args) -> int:
@@ -84,7 +112,7 @@ def _cmd_certify(args) -> int:
     payload = certificate_to_dict(certify_large_galois(f, shifts=shifts, irreducibility=basis))
     keys = ("verdict", "n", "shift", "valuation_prime", "slope",
             "window_prime", "newton_index", "irreducibility_basis")
-    return _print(args, payload, [f"{key}={payload[key]}" for key in keys])
+    return _print(args, payload, lambda: [f"{key}={payload[key]}" for key in keys])
 
 
 def _cmd_frobenius(args) -> int:
@@ -110,12 +138,9 @@ def _cmd_frobenius(args) -> int:
         ],
         "verdict": parity_evidence(samples),
     }
-    lines = [
+    return _print(args, payload, lambda: [
         f"p={s['p']} type=[{','.join(str(d) for d in s['type'])}] parity={s['parity']}"
-        for s in payload["samples"]
-    ]
-    lines.append(f"verdict={payload['verdict']}")
-    return _print(args, payload, lines)
+        for s in payload["samples"]] + [f"verdict={payload['verdict']}"])
 
 
 def _cmd_glp_classify(args) -> int:
@@ -125,40 +150,40 @@ def _cmd_glp_classify(args) -> int:
     payload = classification_to_dict(classify(params, assume_irreducible=args.assume_irreducible))
     keys = ("n", "alpha", "group", "disc_is_square", "criterion_prime", "ell",
             "irreducibility_basis")
-    lines = [f"{key}={payload[key]}" for key in keys]
-    lines += [f"certificate.{key}={value}" for key, value in payload["certificate"].items()]
-    return _print(args, payload, lines)
+    return _print(args, payload, lambda: [f"{key}={payload[key]}" for key in keys] + [
+        f"certificate.{key}={value}" for key, value in payload["certificate"].items()])
 
 
-def _rational_text(q: Fraction) -> str:
-    """str(q), also above the interpreter's limit on int-to-str conversion
-    (4,300 digits by default from Python 3.11): such an integer is converted
-    through `decimal`, whose conversion has no limit."""
-    try:
-        return str(q)
-    except ValueError:
-        from decimal import Decimal  # only a huge Delta needs it
-
-        text = str(Decimal(q.numerator))
-        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+def _disc_bits(n: int, alpha: Fraction) -> int:
+    """An upper bound on the bits of the numerator and the denominator of
+    Delta = prod_{j=2}^n j^j (j*mu + lam)^(j-1) / mu^(n(n-1)/2), alpha = lam/mu:
+    its bases are at most n, n*mu + |lam| and mu, each raised to at most
+    n(n+1)/2 in all."""
+    lam, mu = alpha.numerator, alpha.denominator
+    return n * (n + 1) // 2 * (n.bit_length() + (n * mu + abs(lam)).bit_length() + mu.bit_length())
 
 
 def _cmd_glp_disc(args) -> int:
-    from .glp import GlpParams, glp, is_rational_square, schur_discriminant
+    from .glp import GlpParams, _check_effort, glp, is_rational_square, schur_discriminant
     from .polys import discriminant
 
     alpha = _parse_fraction(args.alpha)
+    _check_effort(args.n)  # a degree past N_BUDGET is refused by that budget's name
+    bits = _disc_bits(max(args.n, 1), alpha)  # and one below 1 by schur_discriminant
+    name, budget = (("VERIFY_BITS_BUDGET", VERIFY_BITS_BUDGET) if args.verify_resultant
+                    else ("DISC_BITS_BUDGET", DISC_BITS_BUDGET))
+    if bits > budget:
+        raise DomainError(f"Delta at n = {args.n} may have {bits} bits, over the "
+                          f"effort budget {name} = {budget}")
     delta = schur_discriminant(args.n, alpha)
-    text = _rational_text(delta)
-    payload = {"n": args.n, "alpha": str(alpha), "discriminant": text,
+    payload = {"n": args.n, "alpha": str(alpha), "discriminant": delta,
                "square": is_rational_square(delta)}
-    line = f"{text} square={str(payload['square']).lower()}"
     if args.verify_resultant:
         params = GlpParams.from_alpha(args.n, alpha)
         monic = glp(params) * ((-1) ** args.n * math.factorial(args.n))
         payload["verified"] = discriminant(monic) == delta
-        line += f" verified={str(payload['verified']).lower()}"
-    return _print(args, payload, [line])
+    return _print(args, payload, lambda: [" ".join([str(delta)] + [
+        f"{key}={str(payload[key]).lower()}" for key in ("square", "verified") if key in payload])])
 
 
 def _scan_one(task: tuple[int, str, bool]) -> str:
@@ -166,7 +191,9 @@ def _scan_one(task: tuple[int, str, bool]) -> str:
 
     n, alpha, assume = task
     params = GlpParams.from_alpha(n, Fraction(alpha))
-    return _json_line(classification_to_dict(classify(params, assume_irreducible=assume)))
+    payload = classification_to_dict(classify(params, assume_irreducible=assume))
+    with _any_digits():
+        return _json_line(payload)
 
 
 def _cmd_glp_scan(args) -> int:

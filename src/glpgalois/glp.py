@@ -34,6 +34,7 @@ attribute read, not an import statement per call.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Optional, Union
@@ -43,7 +44,7 @@ import glpgalois  # certify, newton and modp are read as its attributes
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly
-from .primes import _SIEVE, _add_large_prime_factors, _multiplicity, primes
+from .primes import _SIEVE, _add_large_prime_factors, _balanced, _multiplicity, primes
 
 if TYPE_CHECKING:  # for annotations only
     from .certify import GaloisCertificate
@@ -258,15 +259,7 @@ def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:
     a = Fraction(alpha)
     lam, mu = a.numerator, a.denominator
     terms = [j**j * (j * mu + lam) ** (j - 1) for j in range(2, n + 1)]
-    return Fraction(_product_tree(terms), mu ** (n * (n - 1) // 2))
-
-
-def _product_tree(terms: list[int]) -> int:
-    """prod(terms), multiplying neighbours pairwise level by level, so that
-    the operands of each product are of about equal size."""
-    while len(terms) > 1:
-        terms = [math.prod(terms[i : i + 2]) for i in range(0, len(terms), 2)]
-    return terms[0] if terms else 1
+    return Fraction(_balanced(operator.mul, terms), mu ** (n * (n - 1) // 2))
 
 
 def is_schur_square(params: GlpParams) -> bool:

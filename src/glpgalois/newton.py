@@ -34,7 +34,7 @@ from typing import Sequence
 from ._record import Record
 from .errors import DomainError
 from .polys import Poly, primitive_scale
-from .primes import _multiplicity, is_prime, prime_factors
+from .primes import _balanced, _multiplicity, is_prime, prime_factors
 
 Point = tuple[int, int]
 
@@ -58,7 +58,7 @@ class NewtonPolygon(Record):
         self._set("vertices", vertices)
         # the hull check shared with index_report, then the endpoints;
         # explicit raises, which survive `python -O`
-        _hull_denominator(prime, vertices)
+        _hull_denominators(prime, vertices, set())
         if not (vertices[0] == points[0] and vertices[-1] == points[-1]):
             raise DomainError("Newton polygon is not a convex hull of its points")
 
@@ -143,40 +143,44 @@ def _hull_push(hull: list[Point], x: int, y: int) -> None:
     hull.append((x, y))
 
 
-def _hull_denominator(p: int, hull: Sequence[Point]) -> int:
-    """The lcm of the slope denominators along a hull.  Raises DomainError
-    unless x and the slopes strictly increase from left to right, checked on
-    integer cross products."""
+def _hull_denominators(p: int, hull: Sequence[Point], dens: set[int]) -> None:
+    """Add the slope denominators > 1 along a hull to dens.  Raises
+    DomainError unless x and the slopes strictly increase from left to
+    right, checked on integer cross products."""
     x0, y0 = hull[0]
-    den, rise, run = 1, -1, 0  # before the first segment: any slope is larger
+    rise, run = -1, 0  # before the first segment: any slope is larger
     for x1, y1 in hull[1:]:
         dy, dx = y1 - y0, x1 - x0
         if dx <= 0 or dy * run <= rise * dx:
             raise DomainError(f"hull at {p} is not convex from left to right")
         if dy % dx:
-            den = math.lcm(den, dx // math.gcd(dy, dx))
+            dens.add(dx // math.gcd(dy, dx))
         rise, run = dy, dx
         x0, y0 = x1, y1
-    return den
 
 
 def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
     denominators, in integers.  Every hull must run from x = 0 to the same
-    last x with strictly increasing slopes."""
-    index, end = 1, None
+    last x with strictly increasing slopes.  The distinct denominators are
+    collected first and their lcm taken once, in a balanced tree, as folding
+    them into the index one by one is quadratic in its size (about lcm(1..n)
+    for a GLP).  The tree's leaves are runs of 64 denominators, each one
+    `math.lcm` call, so that the few of a small atlas take one call."""
+    end = None
+    dens: set[int] = set()
     vertices: dict[int, tuple[Point, ...]] = {}
     for p, hull in hulls.items():
         if len(hull) < 2 or hull[0][0] != 0:
             raise DomainError(f"hull at {p} does not start a segment at x = 0")
-        d = _hull_denominator(p, hull)
+        _hull_denominators(p, hull, dens)
         if hull[-1][0] != end:  # the first hull sets the end
             if end is not None:
                 raise DomainError(f"hull at {p} ends at x = {hull[-1][0]}, not at {end}")
             end = hull[-1][0]
-        if index % d:
-            index = math.lcm(index, d)
         vertices[p] = tuple(hull)
+    terms = list(dens)
+    index = _balanced(math.lcm, [math.lcm(*terms[i : i + 64]) for i in range(0, len(terms), 64)])
     return NewtonIndexReport(index=index, vertices=vertices)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, count
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DomainError
 
@@ -90,6 +90,16 @@ def _multiplicity(m: int, p: int) -> int:
         m //= p
         v += 1
     return v
+
+
+def _balanced(step: Callable[[int, int], int], terms: list[int]) -> int:
+    """step folded over terms (1 if there are none) in a balanced tree:
+    neighbours are combined pairwise, level by level, so that the operands
+    of each step are of about equal size."""
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [step(a, b) for a, b in zip(terms[::2], terms[1::2])] + odd
+    return terms[0] if terms else 1
 
 
 def _pollard_rho(n: int) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 import glpgalois
 from glpgalois.cli import main
-from glpgalois.glp import schur_discriminant
+from glpgalois.glp import GlpParams, glp_newton_index, schur_discriminant
 
 
 PSI_12 = 318665857834031151167461
@@ -182,6 +183,58 @@ class TestGlpClassify:
         assert code == 1
         assert "error:" in err
 
+    def test_index_beyond_the_int_to_str_limit(self, capsys):
+        # the index at n = 12,000 has 5,202 digits, above the 4,300 that
+        # str(int) allows by default from Python 3.11; it is printed in full
+        want = glp_newton_index(GlpParams.from_alpha(12000, 1)).index
+        code, out, err = run(capsys, "glp-classify", "--n", "12000", "--alpha", "1", "--json")
+        assert (code, err) == (0, "")
+        # int(Decimal) converts without the limit
+        assert json.loads(out, parse_int=Decimal)["certificate"]["newton_index"] == want
+        code, out, err = run(capsys, "glp-classify", "--n", "12000", "--alpha", "1")
+        assert (code, err) == (0, "")
+        (text,) = [line for line in out.splitlines() if line.startswith("certificate.newton_index=")]
+        digits = text.partition("=")[2]
+        assert len(digits) == 5202 and int(Decimal(digits)) == want
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+class TestDigitLimit:
+    """Integers of the answer print at any size; those of the input keep the
+    interpreter's int-to-str limit, and `main` leaves it as it found it."""
+
+    HUGE = "7" * 5000  # over the 4,300-digit default
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    def test_main_restores_the_limit(self, capsys, limit):
+        sys.set_int_max_str_digits(limit)
+        for argv in (["glp-classify", "--n", "12000", "--alpha", "1"],
+                     ["glp-disc", "--n", "100", "--alpha", "0", "--json"],
+                     ["glp-disc", "--n", "0", "--alpha", "0"]):
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == limit, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--poly", f"{HUGE},1,1"],
+        ["certify", "--poly", f"1,{HUGE},1", "--assume-irreducible"],
+        ["certify", "--poly", "6,18,9,1", "--shifts", f"0,{HUGE}"],
+        ["glp-classify", "--n", "9", "--alpha", HUGE],
+        ["glp-disc", "--n", "9", "--alpha", f"1/{HUGE}"],
+        ["glp-scan", "--n-from", "9", "--n-to", "10", "--alpha", HUGE, "--jobs", "1"],
+    ])
+    def test_input_over_the_limit_exit_1(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: cannot parse "), err[:200]
+        assert time.perf_counter() - start < 1.0
+
 
 class TestGlpDisc:
     def test_golden(self, capsys):
@@ -201,7 +254,7 @@ class TestGlpDisc:
         }
 
     def test_nonpositive_degree_exit_1(self, capsys):
-        for n in ("-3", "0"):
+        for n in ("-3", "0", str(-10**8)):  # the last also before Delta's size bound
             code, out, err = run(capsys, "glp-disc", "--n", n, "--alpha", "1/2")
             assert (code, out, err) == (1, "", "error: degree must be positive\n"), n
 
@@ -258,6 +311,26 @@ class TestGlpScan:
         assert outs[0].stdout.count(b"\n") == 6
         assert outs[1].stdout == outs[0].stdout
         assert outs[1].stderr == outs[0].stderr == b""
+
+    def test_index_beyond_the_int_to_str_limit(self):
+        # each worker formats its own line: indices of 5,202 digits print,
+        # in one process and in a pool
+        src = os.path.dirname(os.path.dirname(os.path.abspath(glpgalois.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        want = [glp_newton_index(GlpParams.from_alpha(n, 1)).index for n in (11999, 12000)]
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "glpgalois.cli", "glp-scan", "--n-from", "11999",
+                 "--n-to", "12000", "--alpha", "1", "--jobs", jobs],
+                env=env, capture_output=True, timeout=120,
+            )
+            for jobs in ("1", "2")
+        ]
+        assert [(o.returncode, o.stderr) for o in outs] == [(0, b""), (0, b"")]
+        assert outs[1].stdout == outs[0].stdout
+        lines = [json.loads(line, parse_int=Decimal) for line in outs[0].stdout.splitlines()]
+        assert [d["n"] for d in lines] == [11999, 12000]
+        assert [d["certificate"]["newton_index"] for d in lines] == want
 
     def test_deterministic(self, capsys):
         args = ["glp-scan", "--n-from", "9", "--n-to", "10", "--alpha", "1",

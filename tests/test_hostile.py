@@ -13,6 +13,8 @@ import json
 import random
 import signal
 import time
+from fractions import Fraction
+from itertools import count
 
 from glpgalois import cli, primes
 from glpgalois.glp import N_BUDGET
@@ -21,6 +23,17 @@ BUDGET_S = 10.0
 SEMIPRIME = 10000000000000000051 * 30000000000000000041  # 40 digits
 PSI_12 = 318665857834031151167461
 HUGE = 10**60 + 7
+
+
+def first_n_past(budget, alpha):
+    """The least degree at which glp-disc's estimate of Delta passes budget."""
+    return next(n for n in count(1) if cli._disc_bits(n, Fraction(alpha)) > budget)
+
+
+DISC_PAST = [["glp-disc", "--n", str(first_n_past(cli.DISC_BITS_BUDGET, alpha)), "--alpha", alpha]
+             for alpha in ("0", "5/3", str(HUGE))]
+VERIFY_PAST = [["glp-disc", "--n", str(first_n_past(cli.VERIFY_BITS_BUDGET, alpha)),
+                "--alpha", alpha, "--verify-resultant"] for alpha in ("0", "5/3", str(HUGE))]
 
 POLYS = [
     f"{HUGE},1,1", f"1,0,0,{10**80}", f"-{HUGE},0,{HUGE}",  # huge
@@ -60,6 +73,10 @@ FIXED = [
     ["glp-classify", "--n", "x", "--alpha", "0"],
     ["glp-classify", "--n", str(10**8), "--alpha", "0"],  # past the effort budget on n
     ["glp-disc", "--n", str(10**8), "--alpha", "0"],
+    *DISC_PAST,  # just past glp-disc's bounds on Delta's size
+    *VERIFY_PAST,
+    ["glp-disc", "--n", "1000", "--alpha", "5/3"],
+    ["glp-disc", "--n", "80", "--alpha", "5/3", "--verify-resultant"],
     ["glp-scan", "--n-from", str(10**8), "--n-to", str(10**8), "--alpha", "0", "--jobs", "1"],
     ["glp-scan", "--n-from", "9", "--n-to", str(N_BUDGET + 1), "--alpha", "0", "--jobs", "1"],
     ["certify", "--poly", "6,18,9,1", "--shifts", "a"],
@@ -135,6 +152,14 @@ def test_huge_degree_exits_1_naming_the_budget():
         code, err, elapsed = run(argv)
         assert code == 1 and err.startswith("error: ") and "N_BUDGET" in err, (argv, err)
         assert elapsed < 1.0, argv
+
+
+def test_delta_past_its_bounds_exits_1_naming_them():
+    for argvs, name in ((DISC_PAST, "DISC_BITS_BUDGET"), (VERIFY_PAST, "VERIFY_BITS_BUDGET")):
+        for argv in argvs:
+            code, err, elapsed = run(argv)
+            assert code == 1 and err.startswith("error: ") and name in err, (argv, err)
+            assert elapsed < 1.0, argv
 
 
 def test_degree_past_the_filter_budget_answers_inconclusive():

@@ -242,6 +242,20 @@ class TestIndexReport:
         assert flat.index == 3 and not flat.single_slope
         assert index_report({}).index == 1
 
+    def test_many_denominators_match_a_plain_fold(self):
+        # up to hundreds of distinct denominators, so that the lcm runs over
+        # one run of 64, several, and levels of the tree: hulls (0, e),
+        # (x, 0), (n, 0) at made-up keys, each with the slope -e/x
+        rng = random.Random(71)
+        n = 10**6
+        for size in (1, 63, 64, 65, 700):
+            hulls = {}
+            for k in range(size):
+                x = rng.randint(2, n - 1)
+                hulls[k] = ((0, rng.randint(1, 10**4)), (x, 0), (n, 0))
+            want = math.lcm(1, *(h[1][0] // math.gcd(h[0][1], h[1][0]) for h in hulls.values()))
+            assert index_report(hulls).index == want, size
+
     # not convex, equal slopes, x not increasing, one vertex or none, not from
     # x = 0, and two hulls that end at different x
     BAD_HULLS = [
