@@ -17,13 +17,27 @@ sieved along the progression: a prime p <= B = min(2^16, isqrt(max |k*mu +
 lam|)) not dividing mu divides exactly the factors with k = -lam/mu (mod p).
 A cofactor r > 1 left has no prime factor <= B, so it is prime if r <
 (B+1)^2 and is split like `prime_factors`' large cofactors otherwise.
-At p <= n the heights h_j = ord_p(binom(n,j)) + S(j), with S(j) the drops at
-k > j, are >= 0 and h_n = 0, so a vertex is (n, 0) or a strict prefix
-minimum.  With n = Np + r, by Kummer ord_p(binom(n, mp+t)) for 0 <= t < p is
-c_m = ord_p(binom(N,m)) if t <= r, else c_m + 1 + ord_p(N-m), and the drops
-sit at one offset t = s in every block [mp, mp+p).  So a new minimum starts a
-block or is its drop: the atlas visits these points, O(n/p) steps per prime,
-not n + 1 heights, and pushes each new minimum onto the hull as it finds it.
+At every p the heights h_j = ord_p(binom(n,j)) + S(j), with S(j) the drops
+at k > j, are >= 0 and h_n = 0, so a vertex is (n, 0) or a strict prefix
+minimum.  With n = Np + r, by Kummer ord_p(binom(n, mp+t)) for 0 <= t < p
+is c_m = ord_p(binom(N,m)) if t <= r, else c_m + 1 + ord_p(N-m), and the
+drops sit at one offset t = s in every block [mp, mp+p).  When p^2 > n,
+N < p, so the binomial adds just [t > r].  If then every drop is simple,
+the lowest height of block m is H - m at its start, H the number of drops,
+or H - m - 1 at its drop when 0 < s <= r.  So the hull is a staircase fixed
+by H, s and r: (0, H), (Hp, 0), (n, 0) when s = 0 or s > r, and (0, H),
+(s, H-1), ((H-1)p + s, 0), (n, 0) when 0 < s <= r, without (s, H-1) when
+H = 1 and without a last (n, 0) that repeats the vertex before it.  At
+p > n one drop (k, e) gives the second shape with H = 1 and any e:
+(0, e), (k, 0), (n, 0).
+`newton.index_report` writes these down from (H, s, e) and reads their
+slope denominators off them.  The atlas walks the blocks only at the other
+primes, p <= isqrt(n) or p <= n with p^2 dividing some k*mu + lam: there a
+new minimum starts a block or is its drop, so it visits these points,
+O(n/p) steps per prime, not n + 1 heights, and pushes each new minimum onto
+the hull as it finds it.  Written down, the hulls at isqrt(n) < p <= n take
+`_atlas` at n = 10^4 from about 20 to 16 ms (alpha = 0, one pinned CPU of a
+2-vCPU Xeon VM).
 
 `glp` imports neither `certify` nor `newton` (nor `modp`), so `glp-disc`
 loads none of them: the classifier reaches them as attributes of the lazy
@@ -200,53 +214,57 @@ def _drops(params: GlpParams) -> dict[int, list[tuple[int, int]]]:
 
 
 def _atlas(n: int, drops: dict[int, list[tuple[int, int]]]) -> NewtonIndexReport:
-    """The Newton index report of f from its drops.  At p > n, p does not
-    divide mu (lam/mu is in lowest terms), so it divides one factor, at some
-    k <= n < p: the heights are e = ord_p(k*mu + lam) for j < k and 0 from k
-    on, and the vertices are (0, e), (k, 0) and (n, 0); at p <= n see the
-    module.  The walk there keeps c = ord_p binom(N, m), which changes by
+    """The Newton index report of f from its drops.  At p > n, and at p with
+    p^2 > n whose drops are all simple, the hull is a staircase that
+    `newton.index_report` writes down from (H, s, e): the number of drops,
+    the offset k mod p of the first and its e (see the module).  At the
+    other p the blocks are walked."""
+    hulls: dict = {}
+    for p in sorted(drops):
+        ks = drops[p]
+        if p * p > n and (p > n or all(e == 1 for _, e in ks)):
+            hulls[p] = (len(ks), ks[0][0] % p, ks[0][1])
+        else:
+            hulls[p] = _block_hull(n, p, ks)
+    return glpgalois.newton.index_report(hulls, n)
+
+
+def _block_hull(n: int, p: int, ks: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The hull at p of f from its drops ks at p, by the walk over the blocks
+    (see the module).  It keeps c = ord_p binom(N, m), which changes by
     ord_p(N-m+1) - ord_p(m) from block m-1 to block m, and v = ord_p(N-m),
     which also lifts the drop of block m when s > r; both are divided out
     inline.  Each strict prefix minimum goes onto the hull as it is found."""
-    newton = glpgalois.newton
-    push = newton._hull_push
-    hulls = {}
-    for p in sorted(drops):
-        ks = drops[p]
-        if p > n:
-            ((k, e),) = ks
-            hulls[p] = ((0, e), (k, 0), (n, 0)) if k < n else ((0, e), (n, 0))
-            continue
-        N, r = divmod(n, p)
-        s = ks[0][0] % p  # each block [mp, mp + p) has its drop at mp + s
-        h = sum(e for _, e in ks)  # S(j), the drops at k > j
-        hull, low, c, v = [(0, h)], h, 0, 0  # c = ord_p binom(N, m), v = ord_p(N - m)
-        for m in range(N + 1):
-            if m:  # the start of block m
-                x = m
-                c += v
-                while not x % p:
-                    x //= p
-                    c -= 1
-                if not s:
-                    h -= ks[m - 1][1]
-                if c + h < low:
-                    low = c + h
-                    push(hull, m * p, low)
-            if m < N:
-                x, v = N - m, 0
-                while not x % p:
-                    x //= p
-                    v += 1
-            if s and (s <= r or m < N):  # the drop of block m
-                h -= ks[m][1]
-                t = h + c if s <= r else h + c + 1 + v
-                if t < low:
-                    low = t
-                    push(hull, m * p + s, low)
-        push(hull, n, 0)  # replaces a last (n, 0)
-        hulls[p] = hull
-    return newton.index_report(hulls)
+    push = glpgalois.newton._hull_push
+    N, r = divmod(n, p)
+    s = ks[0][0] % p  # each block [mp, mp + p) has its drop at mp + s
+    h = sum(e for _, e in ks)  # S(j), the drops at k > j
+    hull, low, c, v = [(0, h)], h, 0, 0  # c = ord_p binom(N, m), v = ord_p(N - m)
+    for m in range(N + 1):
+        if m:  # the start of block m
+            x = m
+            c += v
+            while not x % p:
+                x //= p
+                c -= 1
+            if not s:
+                h -= ks[m - 1][1]
+            if c + h < low:
+                low = c + h
+                push(hull, m * p, low)
+        if m < N:
+            x, v = N - m, 0
+            while not x % p:
+                x //= p
+                v += 1
+        if s and (s <= r or m < N):  # the drop of block m
+            h -= ks[m][1]
+            t = h + c if s <= r else h + c + 1 + v
+            if t < low:
+                low = t
+                push(hull, m * p + s, low)
+    push(hull, n, 0)  # replaces a last (n, 0)
+    return hull
 
 
 def schur_discriminant(n: int, alpha: Union[int, Fraction]) -> Fraction:

@@ -18,18 +18,22 @@ each end factored alone, and at each the hull is flat at height 0 between
 the first and the last coefficient prime to p, so only the points outside
 that run get a valuation.  `glp` feeds it hulls it builds from the small
 factors of the GLP coefficients.  Both push one candidate vertex at a time
-with `_hull_push`, the monotone-chain step of `_lower_hull`.  A `NewtonPolygon`
+with `_hull_push`, the monotone-chain step of `_lower_hull`.  `glp` also
+hands it the GLP hulls that need no walk, at primes p with p^2 > n, as the
+parameters of a staircase; `_staircase` writes down their vertices and
+reads their slope denominators off the parameters.  A `NewtonPolygon`
 record, built only by `newton_polygon`, keeps f's own points and the hull
 vertices; its `Segment`s, each with a `Fraction` slope, are built from the
-vertices when read.  The record and `index_report` check convexity by the
-same integer walk.
+vertices when read.  The record and `index_report` check the convexity of a
+walked hull by the same integer walk; `_staircase` checks the parameters
+that make a staircase convex.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import DomainError
@@ -159,22 +163,33 @@ def _hull_denominators(p: int, hull: Sequence[Point], dens: set[int]) -> None:
         x0, y0 = x1, y1
 
 
-def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
-    """The Newton index of an atlas {prime: hull vertices}: the lcm of the slope
-    denominators, in integers.  Every hull must run from x = 0 to the same
-    last x with strictly increasing slopes.  The distinct denominators are
-    collected first and their lcm taken once, in a balanced tree, as folding
-    them into the index one by one is quadratic in its size (about lcm(1..n)
-    for a GLP).  The tree's leaves are runs of 64 denominators, each one
-    `math.lcm` call, so that the few of a small atlas take one call."""
-    end = None
+def index_report(hulls: dict[int, Sequence], n: Optional[int] = None) -> NewtonIndexReport:
+    """The Newton index of an atlas {prime: hull}: the lcm of the slope
+    denominators, in integers.  A hull is its vertices, walked: they must run
+    from x = 0 to the same last x (n, when given) with strictly increasing
+    slopes, checked on cross products.  Or it is written down as the integer
+    parameters (H, s, e) of a staircase that ends at x = n (see
+    `_staircase`), which are checked in place of cross products.  The distinct
+    denominators are collected first and their lcm taken once, in a balanced
+    tree, as folding them into the index one by one is quadratic in its size
+    (about lcm(1..n) for a GLP).  The tree's leaves are runs of 64
+    denominators, each one `math.lcm` call, so that the few of a small atlas
+    take one call."""
+    end = n
     dens: set[int] = set()
     vertices: dict[int, tuple[Point, ...]] = {}
     for p, hull in hulls.items():
-        if len(hull) < 2 or hull[0][0] != 0:
+        if len(hull) < 2:
+            raise DomainError(f"hull at {p} does not start a segment at x = 0")
+        if isinstance(hull[0], int):  # written down as (H, s, e)
+            if n is None:
+                raise DomainError(f"hull at {p} is written down, but n is not given")
+            vertices[p] = _staircase(p, n, *hull, dens)
+            continue
+        if hull[0][0] != 0:
             raise DomainError(f"hull at {p} does not start a segment at x = 0")
         _hull_denominators(p, hull, dens)
-        if hull[-1][0] != end:  # the first hull sets the end
+        if hull[-1][0] != end:  # the first hull sets the end, unless n does
             if end is not None:
                 raise DomainError(f"hull at {p} ends at x = {hull[-1][0]}, not at {end}")
             end = hull[-1][0]
@@ -182,6 +197,40 @@ def index_report(hulls: dict[int, Sequence[Point]]) -> NewtonIndexReport:
     terms = list(dens)
     index = _balanced(math.lcm, [math.lcm(*terms[i : i + 64]) for i in range(0, len(terms), 64)])
     return NewtonIndexReport(index=index, vertices=vertices)
+
+
+def _staircase(p: int, n: int, H: int, s: int, e: int, dens: set[int]) -> tuple[Point, ...]:
+    """The vertices, from x = 0 to n, of a staircase hull at p, with the
+    denominators of its sloped segments added to dens.  The staircase has H
+    drops of e = 1 each, one per block [mp, mp + p), at offset s = k mod p;
+    or H = 1 drop of any e.  With r = n mod p: when 0 < s <= r, the vertices
+    are (0, H), (s, H - 1), ((H - 1)p + s, 0), (n, 0) (slopes -1/s, -1/p,
+    0), or (0, e), (s, 0), (n, 0) when H = 1 (slope -e/s); otherwise they
+    are (0, H + e - 1), (Hp, 0), (n, 0).  A last (n, 0) that repeats the
+    vertex before it is left out.  Raises DomainError unless H >= 1,
+    0 <= s < p, e >= 1, e = 1 when H > 1 and the bend is at x <= n: then x
+    and the slopes strictly increase from left to right."""
+    if H < 1:
+        raise DomainError(f"staircase at {p} has H = {H} drops, not at least 1")
+    if not 0 <= s < p:
+        raise DomainError(f"staircase at {p} has its drops at offset {s}, not in [0, {p})")
+    if e < 1 or (e > 1 and H > 1):
+        raise DomainError(f"staircase at {p} has H = {H} drops of e = {e}: e >= 1, and e = 1 if H > 1")
+    if 0 < s <= n % p:
+        x = (H - 1) * p + s
+        hull = [(0, H), (s, H - 1), (x, 0)] if H > 1 else [(0, e), (s, 0)]
+        dens.add(s // math.gcd(e, s))
+        if H > 1:
+            dens.add(p)
+    else:
+        x = H * p
+        hull = [(0, H + e - 1), (x, 0)]
+        dens.add(p // math.gcd(e, p))
+    if x > n:
+        raise DomainError(f"staircase at {p} bends at x = {x}, past n = {n}")
+    if x < n:
+        hull.append((n, 0))
+    return tuple(hull)
 
 
 def _valuation_points(f: Poly, p: int) -> list[Point]:

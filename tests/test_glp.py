@@ -1,6 +1,9 @@
 import importlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -317,9 +320,9 @@ class TestGlpNewtonIndex:
     ]
 
     def test_hull_matches_extreme_points(self):
-        # the atlas takes the hull over the prefix minima (p <= n) or writes it
-        # down (p > n); compare it with the extreme points of all n + 1 points,
-        # read off the coefficients of glp_normalized
+        # the atlas takes the hull over the prefix minima (p^2 <= n, or a drop
+        # e > 1 at p <= n) or writes it down; compare it with the extreme points
+        # of all n + 1 points, read off the coefficients of glp_normalized
         cases = [GlpParams(*c) for c in self.HULL_CASES]
         cases += [params for params in seeded_params(4242, 120) if params.n <= 60][:60]
         for params in cases:
@@ -332,6 +335,112 @@ class TestGlpNewtonIndex:
                     # at most two segments, bending at the one k with p | k*mu + lam
                     (k,) = [k for k in range(1, n + 1) if (k * mu + lam) % p == 0]
                     assert len(vertices) <= 3 and vertices[1] == (k, 0), (params, p)
+
+    # (n, lam, mu, p, vertices): p^2 > n and every drop at p simple, or p > n,
+    # so the atlas writes the hull down; r = n mod p and s = k mod p of the first
+    # drop k.  One case for each shape
+    STAIRCASES = [
+        (30, 0, 1, 7, ((0, 4), (28, 0), (30, 0))),  # s = 0
+        (30, 1, 1, 7, ((0, 4), (28, 0), (30, 0))),  # s = 6 > r = 2
+        (30, 1, 1, 17, ((0, 1), (17, 0), (30, 0))),  # s = 16 > r = 13, H = 1
+        (34, 2, 1, 7, ((0, 5), (5, 4), (33, 0), (34, 0))),  # 0 < s = 5 <= r = 6, H = 5
+        (30, 5, 3, 11, ((0, 3), (2, 2), (24, 0), (30, 0))),  # mu > 1: s = 2 <= r = 8
+        (20, -50, 1, 11, ((0, 2), (6, 1), (17, 0), (20, 0))),  # alpha < -n
+        (30, 5, 1, 31, ((0, 1), (26, 0), (30, 0))),  # p > n: 0 < s <= r, H = 1
+        (10, 116, 1, 11, ((0, 2), (5, 0), (10, 0))),  # p > n: one drop of e = 2 (121)
+        (20, -50, 1, 47, ((0, 1), (3, 0), (20, 0))),  # p > n, alpha < -n
+        (34, 1, 1, 7, ((0, 5), (6, 4), (34, 0))),  # the last drop at k = n, H = 5
+        (30, 1, 1, 31, ((0, 1), (30, 0))),  # the last drop at k = n, p > n
+    ]
+    # (n, lam, mu, p, vertices) where the atlas walks the blocks: n // p >= p,
+    # and isqrt(n) < p <= n with p^2 | k*mu + lam (-49 at k = 1)
+    WALKED = [
+        (30, 0, 1, 5, ((0, 7), (25, 1), (30, 0))),
+        (20, -50, 1, 7, ((0, 4), (1, 2), (15, 0), (20, 0))),
+    ]
+
+    def atlas_hulls(self, params: GlpParams) -> dict:
+        """What `_atlas` hands to `newton.index_report`: {p: (H, s, e)} for a
+        hull written down, {p: vertices} for a walked one."""
+        seen = {}
+        real = newton_module.index_report
+
+        def spy(hulls, n=None):
+            seen.update(hulls)
+            return real(hulls, n)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(newton_module, "index_report", spy)
+            glp_newton_index(params)
+        return seen
+
+    @pytest.mark.parametrize("case", STAIRCASES + WALKED)
+    def test_staircase_or_walk(self, case):
+        n, lam, mu, p, want = case
+        params = GlpParams(n, lam, mu)
+        written = isinstance(self.atlas_hulls(params)[p][0], int)
+        assert written == (case in self.STAIRCASES)
+        points = [(j, ord_p(c, p)) for j, c in enumerate(glp_normalized(params).coeffs)]
+        assert glp_newton_index(params).vertices[p] == tuple(extreme_point_hull(points)) == want
+        self.check(params)
+
+    def test_staircases_match_the_block_walk(self):
+        # n up to 2,000, from the drops alone: at every prime that the atlas
+        # writes down, its hull and index equal the block walk's on the same
+        # drops; p^2 | k*mu + lam at p > n in the fixed cases
+        # (331^2 at n = 300, 2003^2 at n = 2000)
+        rng = random.Random(2027)
+        cases = [GlpParams(300, 331**2 - 300, 1), GlpParams(2000, 2003**2 - 5 * 1999, 5)]
+        while len(cases) < 40:
+            n, mu = rng.randint(1, 2000), rng.randint(1, 9)
+            lam = rng.randint(-(n + 3) * mu, 12 * mu)
+            if math.gcd(lam, mu) == 1 and not (mu == 1 and -n <= lam <= -1):
+                cases.append(GlpParams(n, lam, mu))
+        shapes = set()
+        for params in cases:
+            n = params.n
+            drops = glp_module._drops(params)
+            for p, hull in self.atlas_hulls(params).items():
+                if isinstance(hull[0], int):
+                    walked = newton_module.index_report({p: glp_module._block_hull(n, p, drops[p])})
+                    written = newton_module.index_report({p: hull}, n)
+                    assert written == walked, (params, p, hull)
+                    H, s, e = hull
+                    shapes.add((p > n, 0 < s <= n % p, H > 1, e > 1))
+        # p <= n: s = 0 or s > r, with H = 1 and H > 1; 0 < s <= r, where H > 1;
+        # p > n: 0 < s <= r with H = 1, and e = 1 and e > 1
+        assert {(False, False, False, False), (False, False, True, False),
+                (False, True, True, False), (True, True, False, False),
+                (True, True, False, True)} <= shapes, shapes
+
+    # staircases at p = 7, n = 30 (r = 2) that break one check each: H < 1,
+    # s < 0, s >= p, e < 1, e > 1 with H > 1, the bend past n (Hp = 35 when
+    # s = 0, (H - 1)p + s = 36 when 0 < s <= r), n not given; and a walked
+    # hull that ends before n
+    BAD_STAIRCASES = [
+        ((0, 0, 1), 30), ((2, -1, 1), 30), ((2, 7, 1), 30), ((2, 3, 0), 30), ((2, 3, 2), 30),
+        ((5, 0, 1), 30), ((6, 1, 1), 30), ((2, 3, 1), None), (((0, 1), (20, 0)), 30),
+    ]
+
+    @pytest.mark.parametrize("hull, n", BAD_STAIRCASES)
+    def test_bad_staircase_rejected(self, hull, n):
+        with pytest.raises(DomainError):
+            newton_module.index_report({7: hull}, n)
+
+    def test_bad_staircases_rejected_under_python_optimize(self):
+        code = (
+            "from glpgalois.errors import DomainError\n"
+            "from glpgalois.newton import index_report\n"
+            f"for hull, n in {self.BAD_STAIRCASES!r}:\n"
+            "    try:\n"
+            "        index_report({7: hull}, n)\n"
+            "    except DomainError:\n"
+            "        print('rejected')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(newton_module.__file__)))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "rejected\n" * len(self.BAD_STAIRCASES), out.stderr
 
     # n up to 300: p^2 | k*mu + lam at p <= n (169 = 13^2 at n = 200, 27 = 3^3
     # at n = 250) and at p > n (331^2 at n = 300, 307^2 at n = 250); alpha < -n,
